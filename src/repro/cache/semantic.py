@@ -93,6 +93,7 @@ from repro.io import graph_from_dict, query_to_text
 from repro.obs import REGISTRY
 from repro.queries.evaluation import satisfies_union
 from repro.queries.ucrpq import UCRPQ
+from repro.resilience.audit import model_satisfies_tbox
 
 COUNTER_HIT_TRANSITIVE = "semcache.hit.transitive"
 COUNTER_HIT_COUNTERMODEL = "semcache.hit.countermodel"
@@ -474,20 +475,14 @@ class SemanticLattice:
         the graph is a T-model avoiding Q.  (Its match of the *original*
         P′ is irrelevant to rule b and not rechecked.)
 
-        Served countermodels have the normalization's fresh names stripped,
-        so the TBox check runs on ``tbox.complete(model)`` — re-placing the
-        fresh names from their definitions — rather than on the raw graph,
-        which would wrongly reject every witness under a schema whose
-        normalization introduced names (and, since PR 10, quarantine its
-        perfectly good journal line)."""
+        The schema leg is the serve-time audit's own
+        :func:`~repro.resilience.audit.model_satisfies_tbox`, so the trust
+        gate and the audit check one property by one piece of code —
+        including its handling of the fresh names the normalization
+        introduced and served witnesses no longer carry."""
         if rhs is not None and satisfies_union(model, rhs):
             return False
-        if tbox is not None:
-            completer = getattr(tbox, "complete", None)
-            completed = completer(model) if completer is not None else model
-            if not tbox.satisfied_by(completed):
-                return False
-        return True
+        return tbox is None or model_satisfies_tbox(tbox, model)
 
     # ------------------------------------------------------------- #
     # introspection

@@ -59,14 +59,21 @@ class ReductionConfig:
 
 
 def query_key(query: UCRPQ) -> tuple:
-    """A canonical, hashable key for a UCRPQ (atoms + isolated variables)."""
-    return tuple(
-        (
-            tuple(str(atom) for atom in disjunct.atoms),
-            tuple(sorted(str(v) for v in disjunct.isolated_variables)),
+    """A canonical, hashable key for a UCRPQ (atoms + isolated variables).
+
+    Computed once per query object and cached on it (queries are frozen),
+    the way :meth:`NormalizedTBox.content_key` caches the schema side."""
+    cached = getattr(query, "_query_key", None)
+    if cached is None:
+        cached = tuple(
+            (
+                tuple(str(atom) for atom in disjunct.atoms),
+                tuple(sorted(str(v) for v in disjunct.isolated_variables)),
+            )
+            for disjunct in query
         )
-        for disjunct in query
-    )
+        object.__setattr__(query, "_query_key", cached)
+    return cached
 
 
 _TP_MEMO = BoundedMemo(max_entries=4096, name="tp_oracle")

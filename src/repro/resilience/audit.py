@@ -48,14 +48,22 @@ from repro.queries.parser import parse_query
 def model_satisfies_tbox(tbox, model) -> bool:
     """Does a *served* countermodel satisfy the schema?
 
-    Countermodels leave the decision pipeline with the normalization's
-    fresh names stripped (:func:`repro.core.display.strip_internal_labels`),
-    so checking a :class:`~repro.dl.normalize.NormalizedTBox` directly
-    against one would wrongly reject it — clauses like ``Company <= Nz_11``
-    mention labels the witness no longer carries.  ``complete()`` re-places
-    the fresh names from their definitions (the normalization's
-    conservativity witness): the completed graph satisfies the normalized
-    TBox iff the stripped graph satisfies the original one."""
+    ``tbox`` is a schema as the service holds it: a :class:`~repro.dl.tbox.TBox`
+    or the :class:`~repro.dl.normalize.NormalizedTBox` that ``normalize``
+    returned for one.  Countermodels leave the decision pipeline with the
+    normalization's fresh names stripped
+    (:func:`repro.core.display.strip_internal_labels`), so a normalized
+    TBox is checked through the schema as written, ``tbox.original``, by
+    direct semantics.  Normalization is a conservative extension — ``G ⊨ T``
+    iff ``complete(G) ⊨ normalize(T)`` (``TestConservativity`` in
+    ``tests/dl/test_normalize.py``) — so this is the property the completed
+    check decides, without copying the graph or evaluating the fresh
+    names' definitions.  A normalized TBox without an original falls back
+    to that completed check: ``complete()`` re-places the fresh names from
+    their definitions before the normal-form clauses are evaluated."""
+    original = getattr(tbox, "original", None)
+    if original is not None:
+        return original.satisfied_by(model)
     completer = getattr(tbox, "complete", None)
     if completer is not None:
         model = completer(model)

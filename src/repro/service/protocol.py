@@ -91,7 +91,9 @@ _OPTION_FIELDS = (
     "max_nodes", "max_steps", "timeout_ms", "backend", "semantic_cache",
 )
 
-_NON_NEGATIVE_INT_FIELDS = ("max_nodes", "max_steps", "timeout_ms")
+_NON_NEGATIVE_INT_FIELDS = (
+    "max_word_length", "max_expansions", "max_nodes", "max_steps", "timeout_ms",
+)
 
 
 def _validate_budgets(options: dict) -> None:

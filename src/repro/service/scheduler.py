@@ -30,7 +30,12 @@ benchmark enforces.
 
 Request validation (query parse, schema resolution, option whitelisting)
 happens at submit time so malformed requests fail fast with an ``error``
-response and never occupy the queue.
+response and never occupy the queue.  Query texts are *interned*: a
+bounded table maps each text to its parsed :class:`UCRPQ`, so a repeated
+text is parsed, keyed (:func:`repro.core.reduction.query_key` caches on the
+object) and matcher-compiled once per scheduler lifetime — the compiled
+matcher memos are keyed by query identity, so a fresh parse per request
+would miss them.  Parse errors are never stored.
 
 When an auditor is attached (:class:`repro.resilience.audit.VerdictAuditor`,
 the service default), every False verdict about to be served from the
@@ -92,6 +97,11 @@ from repro.service.protocol import (
 )
 from repro.service.sessions import SchemaSession, SessionManager
 
+QUERY_INTERN_MAX = 2048
+"""Distinct query texts one scheduler keeps parsed (FIFO beyond that).
+Matches the compiled-query memo (``compile.query``), so a working set that
+fits the intern table also keeps its compiled matchers."""
+
 _TRANSIENT_ERRORS = (BrokenProcessPool, OSError, FaultInjected)
 """Exception classes the scheduler treats as retryable infrastructure
 failures (a lost pool, a transient OS hiccup, an injected fault) as opposed
@@ -148,6 +158,8 @@ class DecisionScheduler:
         self._queue: list[_Item] = []
         self._results = BoundedMemo(max_entries=8192, name="service.results")
         """Lifetime verdict-dict memo keyed by decision key (dedup source)."""
+        self._queries = BoundedMemo(max_entries=QUERY_INTERN_MAX, name="service.queries")
+        """Query text → parsed :class:`UCRPQ` intern table."""
 
     def pending(self) -> int:
         return len(self._queue)
@@ -179,8 +191,8 @@ class DecisionScheduler:
         else:
             session = self.sessions.session_for(request.schema)
         try:
-            lhs = parse_query(request.lhs)
-            rhs = parse_query(request.rhs)
+            lhs = self._intern(request.lhs)
+            rhs = self._intern(request.rhs)
         except Exception as exc:
             raise ProtocolError(f"query parse error: {exc}") from exc
         options = build_options(request.options)
@@ -206,6 +218,16 @@ class DecisionScheduler:
             key=key,
             timeout_ms=timeout_ms,
         )
+
+    def _intern(self, text: str) -> UCRPQ:
+        """The parsed query for ``text``, shared by every request (and
+        hydrated premise) carrying the same text.  Raises on a parse
+        error, which is never stored."""
+        query = self._queries.get(text)
+        if query is None:
+            query = parse_query(text)
+            self._queries.put(text, query)
+        return query
 
     # ------------------------------------------------------------- #
     # drain
@@ -436,7 +458,7 @@ class DecisionScheduler:
         lattice.mark_hydrated(digest)
         for lhs_text, verdict in self.cache.semantic_entries(digest):
             try:
-                premise = parse_query(lhs_text)
+                premise = self._intern(lhs_text)
             except Exception:
                 self.metrics.count("semantic_hydrate_errors")
                 continue

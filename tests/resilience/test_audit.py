@@ -2,13 +2,14 @@
 the journal scrubber, and the scheduler's quarantine-and-recompute path."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.core.containment import ContainmentOptions, is_contained
 from repro.dl.normalize import normalize
 from repro.dl.pg_schema import figure1_schema
-from repro.io import verdict_to_dict
+from repro.io import graph_from_dict, verdict_to_dict
 from repro.obs import REGISTRY
 from repro.queries.parser import parse_query
 from repro.resilience.audit import (
@@ -110,25 +111,45 @@ def test_served_countermodel_passes_under_normalized_schema():
 
 
 def test_model_satisfies_tbox_completes_before_checking():
-    from repro.io import graph_from_dict
-
+    """Without the schema as written, the normalized clauses are checked
+    on the completed witness."""
     tbox = figure1_schema()
     _lhs, _rhs, verdict = decide("Company(x)", "CredCard(x)", tbox)
     model = graph_from_dict(verdict["countermodel"])
-    normalized = normalize(tbox)
+    normalized = replace(normalize(tbox), original=None)
     assert model_satisfies_tbox(normalized, model) is True
+
+
+def _poison_company_nodes(verdict):
+    """Add a disjointness violation (Figure 1 declares Customer and
+    Company disjoint) that keeps the lhs matched and the rhs avoided."""
+    nodes = verdict["countermodel"]["nodes"]
+    for node, labels in nodes.items():
+        if "Company" in labels:
+            nodes[node] = list(labels) + ["Customer"]
+
+
+@pytest.mark.parametrize("poison", [False, True])
+def test_schema_as_written_agrees_with_completed_check(poison):
+    tbox = figure1_schema()
+    _lhs, _rhs, verdict = decide("Company(x)", "CredCard(x)", tbox)
+    if poison:
+        _poison_company_nodes(verdict)
+    model = graph_from_dict(verdict["countermodel"])
+    normalized = normalize(tbox)
+    assert normalized.fresh_names  # the witness lacks these labels
+    completed = normalized.satisfied_by(normalized.complete(model))
+    assert completed is (not poison)
+    assert model_satisfies_tbox(normalized, model) is completed
+    assert model_satisfies_tbox(tbox, model) is completed
+    assert model_satisfies_tbox(replace(normalized, original=None), model) is completed
 
 
 def test_tbox_violating_countermodel_fails():
     tbox = figure1_schema()
     lhs, rhs, verdict = decide("Company(x)", "CredCard(x)", tbox)
-    # poison the witness with a disjointness violation (fig1 declares
-    # Customer and Company disjoint); it still matches lhs and avoids rhs,
-    # so only the TBox leg of the audit can catch it
-    nodes = verdict["countermodel"]["nodes"]
-    for node, labels in nodes.items():
-        if "Company" in labels:
-            nodes[node] = list(labels) + ["Customer"]
+    # only the TBox leg of the audit can catch this one
+    _poison_company_nodes(verdict)
     normalized = normalize(tbox)
     assert VerdictAuditor().check_false(verdict, lhs, rhs, normalized) is False
 

@@ -85,6 +85,13 @@ class TestDecideModel:
         with pytest.raises(ModelValidationError, match="timeout_ms"):
             _decide(options={"timeout_ms": MAX_TIMEOUT_MS + 1})
 
+    @pytest.mark.parametrize("name", ["max_word_length", "max_expansions"])
+    @pytest.mark.parametrize("value", [[1], -3, True, 2.9, "4", None])
+    def test_word_budgets_must_be_non_negative_integers(self, name, value):
+        with pytest.raises(ModelValidationError, match=f"option '{name}' must be a non-negative integer"):
+            _decide(options={name: value})
+        assert _decide(options={name: 0}).options[name] == 0
+
     def test_non_object_payload_raises(self):
         with pytest.raises(ModelValidationError, match="object"):
             DecideModel.from_wire(["not", "a", "dict"])

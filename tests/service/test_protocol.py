@@ -76,6 +76,19 @@ class TestParseRequest:
             parse_request(line, seq=1)
 
 
+    @pytest.mark.parametrize("name", ["max_word_length", "max_expansions"])
+    @pytest.mark.parametrize("value", [[1], -3, True, 2.9, "4", None])
+    def test_word_budgets_must_be_non_negative_integers(self, name, value):
+        line = json.dumps({"lhs": "A(x)", "rhs": "B(x)", "options": {name: value}})
+        with pytest.raises(ProtocolError, match=f"option '{name}' must be a non-negative integer"):
+            parse_request(line, seq=1)
+
+    @pytest.mark.parametrize("name", ["max_word_length", "max_expansions"])
+    def test_word_budgets_accept_zero(self, name):
+        line = json.dumps({"lhs": "A(x)", "rhs": "B(x)", "options": {name: 0}})
+        assert parse_request(line, seq=1).options[name] == 0
+
+
 class TestBuildOptions:
     def test_defaults(self):
         assert build_options({}) == ContainmentOptions()

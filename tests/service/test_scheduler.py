@@ -2,13 +2,22 @@
 
 import json
 
-from repro.core.containment import ContainmentOptions, is_contained
+import pytest
+
+from repro.core.containment import ContainmentOptions, decision_key, is_contained
+from repro.core.reduction import query_key
+from repro.dl.pg_schema import figure1_schema
 from repro.dl.tbox import TBox
-from repro.io import tbox_to_dict, verdict_to_dict
+from repro.io import query_to_text, tbox_to_dict, verdict_to_dict
+from repro.obs import REGISTRY
+from repro.queries.parser import parse_query
+from repro.resilience.audit import VerdictAuditor
+from repro.service import scheduler as scheduler_module
 from repro.service.cache import DecisionCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import Request, parse_request
-from repro.service.scheduler import DecisionScheduler
+from repro.service.scheduler import QUERY_INTERN_MAX, DecisionScheduler
+from repro.workloads.generators import log_like_queries
 
 
 def _tbox_dict():
@@ -118,3 +127,106 @@ class TestValidation:
         scheduler = DecisionScheduler()
         error = scheduler.submit(_decide(1, schema_ref="ghost"))
         assert error["type"] == "error" and "ghost" in error["error"]
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The texts the scheduler hands to ``parse_query``, in call order."""
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_query(text)
+
+    monkeypatch.setattr(scheduler_module, "parse_query", counting_parse)
+    return calls
+
+
+class TestInterning:
+    def test_same_text_yields_same_query_object(self, parsed):
+        scheduler = DecisionScheduler()
+        scheduler.submit(_decide(1))
+        scheduler.submit(_decide(2, rhs="owns(x,y)"))
+        first, second = sorted(scheduler._queue)
+        assert first.lhs is second.lhs
+        scheduler.drain()
+        scheduler.submit(_decide(3))
+        (third,) = scheduler._queue
+        assert third.lhs is first.lhs and third.rhs is first.rhs
+        # one parse per distinct text, however many requests carry it
+        assert sorted(parsed) == ["CredCard(y)", "owns(x,y)"]
+
+    def test_parse_errors_answer_every_time_and_are_never_stored(self, parsed):
+        scheduler = DecisionScheduler()
+        for seq in (1, 2):
+            error = scheduler.submit(_decide(seq, lhs="not a query (("))
+            assert error["type"] == "error"
+            assert error["error"].startswith("query parse error")
+        assert parsed == ["not a query ((", "not a query (("]
+        assert "not a query ((" not in scheduler._queries
+        assert scheduler.pending() == 0
+
+    def test_table_stays_at_its_cap(self):
+        scheduler = DecisionScheduler()
+        for seq in range(QUERY_INTERN_MAX + 10):
+            assert scheduler.submit(_decide(seq, lhs=f"A{seq}(x)", rhs="B(x)")) is None
+        assert len(scheduler._queries) == QUERY_INTERN_MAX
+
+    def test_cached_query_key_equals_fresh_computation(self):
+        scheduler = DecisionScheduler()
+        texts = [
+            query_to_text(query)
+            for _shape, query in log_like_queries(
+                60, ["A", "B", "C"], ["r", "s"], seed=5
+            )
+        ]
+        for text in texts:
+            interned = scheduler._intern(text)
+            fresh = tuple(
+                (
+                    tuple(str(atom) for atom in disjunct.atoms),
+                    tuple(sorted(str(v) for v in disjunct.isolated_variables)),
+                )
+                for disjunct in parse_query(text)
+            )
+            assert query_key(interned) == fresh
+            # the second call answers from the cache on the object
+            assert query_key(interned) is query_key(interned)
+            assert decision_key(interned, interned) == decision_key(text, text)
+
+
+class TestAuditGatesDedup:
+    def test_corrupt_memo_entry_fails_audit_and_is_recomputed(self):
+        metrics = ServiceMetrics()
+        scheduler = DecisionScheduler(
+            metrics=metrics,
+            auditor=VerdictAuditor(metrics, ab_sample_every=0),
+            semantic_cache=False,
+        )
+        schema = tbox_to_dict(figure1_schema())
+        scheduler.submit(_decide(1, lhs="Company(x)", rhs="CredCard(x)", schema=schema))
+        (served,) = scheduler.drain()
+        assert served["source"] == "computed"
+        held = served["verdict"]  # the very dict the dedup memo serves
+        assert held["contained"] is False
+        # poison the witness in place with a disjointness violation (Figure 1
+        # declares Customer and Company disjoint): it still matches the lhs
+        # and avoids the rhs, so only the schema leg of the audit catches it
+        for node, labels in held["countermodel"]["nodes"].items():
+            if "Company" in labels:
+                held["countermodel"]["nodes"][node] = list(labels) + ["Customer"]
+        before = REGISTRY.get("audit.false.fail.source.dedup")
+
+        scheduler.submit(_decide(2, lhs="Company(x)", rhs="CredCard(x)", schema=schema))
+        (again,) = scheduler.drain()
+        assert REGISTRY.get("audit.false.fail.source.dedup") == before + 1
+        assert again["source"] == "computed"
+        assert again["verdict"] is not held
+        assert again["verdict"]["countermodel"] != held["countermodel"]
+        assert metrics.counter("decisions_executed") == 2
+
+        # the evicted entry was replaced by the recomputed, sound verdict
+        scheduler.submit(_decide(3, lhs="Company(x)", rhs="CredCard(x)", schema=schema))
+        (third,) = scheduler.drain()
+        assert third["source"] == "dedup"
+        assert third["verdict"] == again["verdict"]
