@@ -161,7 +161,7 @@ def build_requests(schemas, total):
 def sequential_replay(schemas, requests):
     """The clean reference: the same decisions through the sequential
     server (auditor on, no cache, no faults)."""
-    server = ContainmentServer(use_cache=False, pool_reuse=False)
+    server = ContainmentServer(use_cache=False)
     stream = server.new_stream()
     for ref, tbox in schemas:
         server.handle_line(json.dumps(
@@ -187,7 +187,7 @@ def _one_pass(audit, schemas, cases):
     from repro.service.sessions import reset_process_caches
 
     reset_process_caches()
-    server = ContainmentServer(use_cache=False, pool_reuse=False, audit=audit)
+    server = ContainmentServer(use_cache=False, audit=audit)
     stream = server.new_stream()
     for ref, tbox in schemas.items():
         server.handle_line(json.dumps(
@@ -408,6 +408,7 @@ def run_benchmark(quick=False, threads=False):
              f"{t_on / decided * 1e6:.0f}", f"{timing['audit_ms']:.2f}",
              f"{overhead * 100:+.2f}%", f"{(t_on / t_off - 1) * 100:+.1f}%"],
         ],
+        persist=not quick,
     )
 
     # -- phase 2: bitflip + kill_worker chaos against the gateway ------ #
@@ -461,6 +462,7 @@ def run_benchmark(quick=False, threads=False):
             ["shard", "surviving entries", "corrupted", "crc", "shape",
              "quarantined"],
             rows,
+            persist=not quick,
         )
 
         # -- phase 4: cold restart never serves a corrupted entry ------ #
@@ -476,6 +478,7 @@ def run_benchmark(quick=False, threads=False):
         "E25 ladder — shard health after chaos + recovery drill",
         ["shard", "state", "rung", "failures", "readmissions"],
         health_rows,
+        persist=not quick,
     )
 
     print(

@@ -129,7 +129,7 @@ async def drive_gateway(config, schemas, requests):
 
 def sequential_replay(schemas, requests):
     """The same decisions through the sequential reference server."""
-    server = ContainmentServer(use_cache=False, pool_reuse=False)
+    server = ContainmentServer(use_cache=False)
     stream = server.new_stream()
     for ref, tbox in schemas:
         server.handle_line(json.dumps(
@@ -217,6 +217,7 @@ def run_benchmark(quick=False, threads=False):
              block["p99"], block["max"]]
             for name, block in sorted(by_outcome.items())
         ],
+        persist=not quick,
     )
 
     fairness_rows = []
@@ -230,6 +231,7 @@ def run_benchmark(quick=False, threads=False):
         "E23 fairness — fair dequeue under 10:1 skew",
         ["shard", "tenant", "dequeued", "last position", "shard dequeues"],
         fairness_rows,
+        persist=not quick,
     )
 
     shard_rows = [
@@ -241,6 +243,7 @@ def run_benchmark(quick=False, threads=False):
         "E23 shards — shard fleet",
         ["shard", "dispatched", "completed", "respawns"],
         shard_rows,
+        persist=not quick,
     )
 
     total = len(requests)

@@ -1,14 +1,9 @@
-"""E16 — bitset kernel vs frozenset types, serial vs parallel Tp fan-out.
+"""E16 — bitset kernel vs frozenset types.
 
-Two micro-comparisons behind the PR-1 performance work:
+Enumerating + clause-checking all maximal types over a growing Γ₀,
+frozenset reference vs compiled bitmask kernel.
 
-* **kernel ops**: enumerating + clause-checking all maximal types over a
-  growing Γ₀, frozenset reference vs compiled bitmask kernel;
-* **Tp fan-out**: the per-type entailment calls of the Section 3 reduction,
-  serial vs a 2-worker process pool (verdict equality asserted — on a
-  single-core box the pool only demonstrates correctness, not speed).
-
-A JSON summary lands next to the text tables in ``benchmarks/results/``.
+A JSON summary lands next to the text table in ``benchmarks/results/``.
 """
 
 import json
@@ -16,13 +11,11 @@ import time
 
 from conftest import RESULTS_DIR, print_table
 
-from repro.core.reduction import ReductionConfig, contains_via_reduction
 from repro.dl.normalize import normalize
 from repro.dl.tbox import TBox
 from repro.dl.types import clause_consistent_reference
 from repro.graphs.types import maximal_types
 from repro.kernel.bitset import CompiledClauses, TypeKernel
-from repro.queries.parser import parse_query
 
 
 def _chain_tbox(width: int):
@@ -86,45 +79,6 @@ def test_kernel_vs_frozenset(benchmark):
     _write_json("kernel_ops", summary)
     # the kernel must win clearly at the largest size
     assert summary[-1]["speedup"] > 2
-
-
-def test_tp_serial_vs_parallel(benchmark):
-    tbox = normalize(TBox.of([("A", "exists r.B"), ("B", "exists r.C")]))
-    lhs = next(iter(parse_query("A(x)")))
-    rhs = parse_query("D(x)")
-
-    def measure():
-        serial_time, serial = _time(
-            lambda: contains_via_reduction(
-                lhs, rhs, tbox, config=ReductionConfig(use_tp_memo=False)
-            )
-        )
-        parallel_time, parallel = _time(
-            lambda: contains_via_reduction(
-                lhs, rhs, tbox,
-                config=ReductionConfig(workers=2, use_tp_memo=False),
-            )
-        )
-        assert parallel.contained == serial.contained
-        assert parallel.complete == serial.complete
-        return serial_time, parallel_time, serial.contained
-
-    serial_time, parallel_time, contained = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    print_table(
-        "E16b — Tp fan-out: serial vs 2-worker process pool",
-        ["mode", "time", "verdict"],
-        [
-            ["serial", f"{serial_time * 1e3:.1f}ms", str(contained)],
-            ["workers=2", f"{parallel_time * 1e3:.1f}ms", str(contained)],
-        ],
-    )
-    _write_json(
-        "tp_fanout",
-        {"serial_s": serial_time, "workers2_s": parallel_time,
-         "verdicts_equal": True},
-    )
 
 
 def _write_json(section: str, payload) -> None:

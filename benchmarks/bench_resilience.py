@@ -1,8 +1,7 @@
-"""E20 — resilience overhead & recovery: deadlines near-free, crashes cheap.
+"""E20 — resilience overhead: deadlines are near-free.
 
 The resilience layer (PR 5) threads cooperative :class:`Deadline` polling
-through every hot loop and teaches the parallel kernel to survive worker
-crashes.  Both mechanisms must be effectively free when nothing goes
+through every hot loop, which must be effectively free when nothing goes
 wrong.  This experiment quantifies that, following the E19 methodology:
 
 * **armed-poll overhead** — a microbenchmark measures the per-call cost of
@@ -16,21 +15,16 @@ wrong.  This experiment quantifies that, following the E19 methodology:
   ``Deadline.never()``, and with a far-future armed deadline must produce
   identical outcome fingerprints: a deadline that never fires never
   changes an answer.
-* **recovery latency** — a pool batch whose worker is SIGKILLed mid-flight
-  (deterministic ``parallel.dispatch:kill_worker`` fault) must return the
-  exact serial results; the extra wall time over a clean run is the
-  recovery cost (respawn + resubmit), reported for the record.
 
 Also runnable standalone as a CI smoke::
 
     python benchmarks/bench_resilience.py --quick
 
 which runs trimmed workloads (sub-second) and exits non-zero on any
-identity divergence, overhead breach, or failed recovery.
+identity divergence or overhead breach.
 """
 
 import argparse
-import math
 import sys
 import time
 
@@ -42,16 +36,10 @@ from repro.dl.normalize import normalize
 from repro.dl.tbox import TBox
 from repro.graphs.generators import path_graph
 from repro.graphs.types import Type
-from repro.kernel.parallel import (
-    RecoveryPolicy,
-    parallel_map,
-    recovery_policy,
-    set_recovery_policy,
-)
 from repro.obs import REGISTRY
 from repro.queries.parser import parse_query
 from repro.queries.presets import example_36_factorization, example_36_query
-from repro.resilience import Deadline, clear_faults, injected_faults
+from repro.resilience import Deadline
 
 OVERHEAD_BUDGET_PCT = 3.0
 
@@ -147,54 +135,8 @@ def measure_workload(name, run, cost_ns):
     return row, est_pct, identical
 
 
-def measure_recovery(items: int) -> tuple[list, list[str]]:
-    """Kill a pool worker mid-batch; recovered results must equal serial.
-
-    Returns the table row and any failures.  The recovery latency (extra
-    wall time over a clean 2-worker run of the same batch) is informative,
-    not asserted — it is dominated by process respawn cost.
-    """
-    failures = []
-    previous = recovery_policy()
-    set_recovery_policy(RecoveryPolicy(max_respawns=2, backoff_base_s=0.01))
-    clear_faults()
-    try:
-        serial = [math.isqrt(n) for n in range(items)]
-        start = time.perf_counter()
-        clean = parallel_map(math.isqrt, range(items), workers=2)
-        clean_s = time.perf_counter() - start
-        if clean != serial:
-            failures.append("clean parallel run diverged from serial")
-
-        before = REGISTRY.flushed_counters().get("parallel.pool_respawns", 0)
-        with injected_faults("parallel.dispatch:kill_worker:1"):
-            start = time.perf_counter()
-            recovered = parallel_map(math.isqrt, range(items), workers=2)
-            recovered_s = time.perf_counter() - start
-        respawns = (
-            REGISTRY.flushed_counters().get("parallel.pool_respawns", 0) - before
-        )
-        if recovered != serial:
-            failures.append("recovered batch diverged from serial results")
-        if respawns < 1:
-            failures.append("worker kill did not trigger a pool respawn")
-    finally:
-        set_recovery_policy(previous)
-        clear_faults()
-    row = [
-        f"kill_worker ×1, {items} tasks",
-        f"{clean_s * 1000:.1f}ms",
-        f"{recovered_s * 1000:.1f}ms",
-        f"+{(recovered_s - clean_s) * 1000:.1f}ms",
-        "✓" if not failures else "✗",
-    ]
-    return row, failures
-
-
 DEADLINE_HEADERS = ["workload", "baseline", "chase steps", "est. armed ovh", "identical"]
-RECOVERY_HEADERS = ["scenario", "clean", "recovered", "latency", "ok"]
 TITLE = "E20 — resilience overhead (armed-deadline cost, bit-identity)"
-RECOVERY_TITLE = "E20 recovery — worker crash mid-batch (kill, respawn, resubmit)"
 
 
 def run_rows(quick: bool):
@@ -212,17 +154,15 @@ def run_rows(quick: bool):
             failures.append(f"{name}: estimated armed-deadline overhead {est_pct:.3f}%")
         if not identical:
             failures.append(f"{name}: a non-firing deadline changed the outcome")
-    recovery_row, recovery_failures = measure_recovery(items=8 if quick else 64)
-    return cost_ns, rows, recovery_row, failures + recovery_failures
+    return cost_ns, rows, failures
 
 
 def test_resilience_table(benchmark):
-    cost_ns, rows, recovery_row, failures = benchmark.pedantic(
+    cost_ns, rows, failures = benchmark.pedantic(
         lambda: run_rows(quick=False), rounds=1, iterations=1
     )
     print(f"\narmed Deadline.poll() cost: {cost_ns:.0f}ns/call")
     print_table(TITLE, DEADLINE_HEADERS, rows)
-    print_table(RECOVERY_TITLE, RECOVERY_HEADERS, [recovery_row])
     assert not failures, "; ".join(failures)
 
 
@@ -233,15 +173,14 @@ def main(argv=None) -> int:
         help="trimmed workloads (sub-second CI smoke); exits 1 on any failure",
     )
     args = parser.parse_args(argv)
-    cost_ns, rows, recovery_row, failures = run_rows(quick=args.quick)
+    cost_ns, rows, failures = run_rows(quick=args.quick)
     print(f"armed Deadline.poll() cost: {cost_ns:.0f}ns/call")
     if args.quick:
         # smoke run: print only, never overwrite the persisted full tables
-        for row in rows + [recovery_row]:
+        for row in rows:
             print("  ".join(str(cell) for cell in row))
     else:
         print_table(TITLE, DEADLINE_HEADERS, rows)
-        print_table(RECOVERY_TITLE, RECOVERY_HEADERS, [recovery_row])
     if failures:
         print("E20 FAILURE: " + "; ".join(failures), file=sys.stderr)
         return 1

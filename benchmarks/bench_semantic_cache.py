@@ -141,10 +141,7 @@ def run_identity(workload, cache_root, quick):
     for flag in (True, False):
         cache_dir = Path(cache_root) / f"{workload.name}-{'on' if flag else 'off'}"
         reset_process_caches()
-        server = ContainmentServer(
-            cache_dir=cache_dir, use_cache=True, pool_reuse=False,
-            semantic_cache=flag,
-        )
+        server = ContainmentServer(cache_dir=cache_dir, use_cache=True, semantic_cache=flag)
         runs[flag] = _pipe(server, lines)
     _, on_responses = runs[True]
     _, off_responses = runs[False]
@@ -211,10 +208,7 @@ def run_warm(workload, cache_root):
     any contract violations."""
     cache_dir = Path(cache_root) / f"{workload.name}-warm"
     reset_process_caches()
-    server = ContainmentServer(
-        cache_dir=cache_dir, use_cache=True, pool_reuse=False,
-        semantic_cache=True,
-    )
+    server = ContainmentServer(cache_dir=cache_dir, use_cache=True, semantic_cache=True)
     seed_s, _ = _pipe(server, [_schema_line(workload)] + workload.seeds)
     executed_before = server.metrics.counter("decisions_executed")
     # the obs registry is process-wide: report this warm phase's delta,

@@ -137,9 +137,7 @@ def run_sequential_cold(workload):
 def run_batch(workload, cache_dir):
     """One server conversation over the whole log (pipe transport)."""
     reset_process_caches()
-    server = ContainmentServer(
-        cache_dir=cache_dir, use_cache=cache_dir is not None, pool_reuse=False
-    )
+    server = ContainmentServer(cache_dir=cache_dir, use_cache=cache_dir is not None)
     lines = [{"type": "schema", "ref": "shared", "tbox": workload.schema}]
     lines += [dict(request, schema_ref="shared") for request in workload.requests]
     in_stream = io.StringIO("\n".join(json.dumps(line) for line in lines) + "\n")

@@ -17,7 +17,10 @@ and asserts equality of
 Workloads put the weight on the connector scan: an at-least of 2–3 forces
 multi-leaf bundles, and pad labels injected through the query widen the
 type pool, so the pick space per centre reaches the 10^5–10^6 range the
-scalar loop walked star by star (E21's open item).
+scalar loop walked star by star (E21's open item).  One more row runs a
+counting TBox whose T_c carries fresh-name definitions (``C ⊑ ≤3 r.B``)
+with the scan threshold forced to 1, so every connector search goes
+through the scanner; the tier-1 test runs the same shape at ``≤2``.
 
 Also runnable standalone as a CI smoke::
 
@@ -83,8 +86,7 @@ def _fingerprint(result):
     )
 
 
-def _run(at_least_n: int, pads: int, backend: str):
-    tbox, query = _instance(at_least_n, pads)
+def _run(tbox, query, backend: str):
     reset_process_caches()
     config = TwoWayConfig(
         limits=SearchLimits(max_nodes=3, max_steps=500),
@@ -97,30 +99,53 @@ def _run(at_least_n: int, pads: int, backend: str):
     )
 
 
+def _ab_row(name: str, label: str, tbox, query):
+    """Run one instance on both backends: table row, summary, failures."""
+    failures = []
+    bits_s, bits = _run(tbox, query, "bitset")
+    vec_s, vec = _run(tbox, query, "vec")
+    if bits.backend != "bitset" or vec.backend != "vec":
+        failures.append(f"twoway {name}: backend not honored")
+    if _fingerprint(bits) != _fingerprint(vec):
+        failures.append(f"twoway {name}: backends diverged")
+    speedup = bits_s / vec_s if vec_s else float("inf")
+    picks = bits.stats["witnesses_materialized"]
+    row = [label, picks, len(bits.survivors or ()),
+           f"{bits_s * 1e3:.1f}ms", f"{vec_s * 1e3:.1f}ms", f"{speedup:.1f}x"]
+    summary = {"row": name, "picks_examined": picks, "realizable": bits.realizable,
+               "survivors": len(bits.survivors or ()),
+               "bitset_s": bits_s, "vec_s": vec_s, "speedup": speedup}
+    return row, summary, failures
+
+
 def twoway_rows(names):
     rows, summary, failures = [], [], []
     for name in names:
         at_least_n, pads = ROWS[name]
-        bits_s, bits = _run(at_least_n, pads, "bitset")
-        vec_s, vec = _run(at_least_n, pads, "vec")
-        if bits.backend != "bitset" or vec.backend != "vec":
-            failures.append(f"twoway {name}: backend not honored")
-        if _fingerprint(bits) != _fingerprint(vec):
-            failures.append(f"twoway {name}: backends diverged")
-        speedup = bits_s / vec_s if vec_s else float("inf")
-        picks = bits.stats["witnesses_materialized"]
-        rows.append(
-            [f"twoway {name} (>={at_least_n}, pads={pads})", picks,
-             len(bits.survivors or ()),
-             f"{bits_s * 1e3:.1f}ms", f"{vec_s * 1e3:.1f}ms", f"{speedup:.1f}x"]
+        row, entry, problems = _ab_row(
+            name, f"twoway {name} (>={at_least_n}, pads={pads})",
+            *_instance(at_least_n, pads),
         )
-        summary.append(
-            {"row": name, "at_least": at_least_n, "pads": pads,
-             "picks_examined": picks, "realizable": bits.realizable,
-             "survivors": len(bits.survivors or ()),
-             "bitset_s": bits_s, "vec_s": vec_s, "speedup": speedup}
-        )
+        rows.append(row)
+        summary.append({**entry, "at_least": at_least_n, "pads": pads})
+        failures += problems
     return rows, summary, failures
+
+
+def forced_scan_row():
+    """A counting TBox whose T_c carries fresh-name definitions, with the
+    scan threshold forced to 1 so every connector search goes through the
+    scanner."""
+    tbox = normalize(
+        TBox.of([("A", ">=2 r.B"), ("B", "C"), ("C", "<=3 r.B")], name="e22_scan")
+    )
+    query = parse_query("A(x), r(x,y), B(y)")
+    saved = twoway_module.VEC_SCAN_MIN_CANDIDATES
+    twoway_module.VEC_SCAN_MIN_CANDIDATES = 1
+    try:
+        return _ab_row("forced_scan", "counting <=3 r.B, forced scan", tbox, query)
+    finally:
+        twoway_module.VEC_SCAN_MIN_CANDIDATES = saved
 
 
 def check_countermodels(width: int):
@@ -163,6 +188,10 @@ def run_rows(quick: bool):
         failures += check_countermodels(8)
         return rows, summary, failures
     rows, summary, failures = twoway_rows(["base", "mid", "largest"])
+    row, entry, problems = forced_scan_row()
+    rows.append(row)
+    summary.append(entry)
+    failures += problems
     failures += check_countermodels(10)
     largest = next(s for s in summary if s["row"] == "largest")
     if largest["speedup"] < SPEEDUP_FLOOR:

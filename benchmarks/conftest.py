@@ -4,6 +4,8 @@ Every benchmark regenerates one experiment from DESIGN.md §5.  Tables are
 printed to the (captured) stdout *and* persisted under
 ``benchmarks/results/`` so a plain ``pytest benchmarks/ --benchmark-only``
 run leaves the regenerated tables on disk; EXPERIMENTS.md records them.
+A ``--quick`` smoke run prints its tables but persists none, so the
+committed tables always come from full runs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ def _slug(title: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", head).strip("_") or "table"
 
 
-def print_table(title: str, headers: list[str], rows: list[list]) -> None:
-    """Print an aligned results table and persist it to benchmarks/results/."""
+def print_table(
+    title: str, headers: list[str], rows: list[list], persist: bool = True
+) -> None:
+    """Print an aligned results table and, when ``persist``, write it to
+    benchmarks/results/."""
     widths = [len(h) for h in headers]
     text_rows = [[str(cell) for cell in row] for row in rows]
     for row in text_rows:
@@ -31,5 +36,7 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
     lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in text_rows]
     text = "\n".join(lines)
     print("\n" + text)
+    if not persist:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{_slug(title)}.txt").write_text(text + "\n")

@@ -46,10 +46,6 @@ from repro.queries.evaluation import find_union_match
 from repro.queries.parser import parse_query
 
 
-def _parse_workers(value: str):
-    return value if value == "auto" else int(value)
-
-
 def load_schema(path: str) -> TBox:
     cis = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -102,15 +98,13 @@ def _decision_inputs(args: argparse.Namespace):
         lhs, rhs = args.lhs, args.rhs
         tbox = load_schema(args.schema) if args.schema else None
     options = None
-    incremental = getattr(args, "incremental", None)
     timeout_ms = getattr(args, "timeout_ms", None)
     backend = getattr(args, "backend", None)
-    if incremental is not None or timeout_ms is not None or backend is not None:
+    if timeout_ms is not None or backend is not None:
         from repro.core.containment import ContainmentOptions
         from repro.resilience import Deadline
 
         options = ContainmentOptions(
-            incremental=None if incremental is None else (incremental == "on"),
             deadline=None if timeout_ms is None else Deadline.after_ms(timeout_ms),
             backend=backend or "auto",
         )
@@ -120,7 +114,7 @@ def _decision_inputs(args: argparse.Namespace):
 def cmd_contain(args: argparse.Namespace) -> int:
     lhs, rhs, tbox, options = _decision_inputs(args)
     result = is_contained(
-        lhs, rhs, tbox, method=args.method, options=options, workers=args.workers,
+        lhs, rhs, tbox, method=args.method, options=options,
         trace=bool(args.trace),
     )
     if args.trace:
@@ -155,8 +149,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
         options = _replace(options, use_cache=False)
     result = is_contained(
-        lhs, rhs, tbox, method=args.method, options=options, workers=args.workers,
-        trace=True,
+        lhs, rhs, tbox, method=args.method, options=options, trace=True,
     )
     print(result.explain())
     if args.trace:
@@ -204,7 +197,6 @@ def _build_server(args: argparse.Namespace):
     return ContainmentServer(
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        workers=args.workers,
         default_timeout_ms=args.timeout_ms,
         backend=args.backend,
         semantic_cache=args.semantic_cache != "off",
@@ -354,7 +346,6 @@ def _serve_gateway(args: argparse.Namespace) -> int:
         tenant_quotas=tenant_quotas,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        workers=args.workers,
         default_timeout_ms=args.timeout_ms,
         backend=args.backend,
         semantic_cache=args.semantic_cache != "off",
@@ -433,11 +424,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         help="disable the persistent decision cache",
     )
     parser.add_argument(
-        "--workers", default=None, type=_parse_workers, metavar="N",
-        help="default per-decision fan-out for requests that don't set "
-        "options.workers (int or 'auto')",
-    )
-    parser.add_argument(
         "--metrics-json", default=None, metavar="FILE",
         help="write the final metrics snapshot to FILE on exit",
     )
@@ -482,16 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "baseline", "sparse", "reduction", "direct"],
     )
     contain.add_argument(
-        "--workers", default=1, type=_parse_workers, metavar="N",
-        help="process count for the candidate fan-out (int or 'auto'); "
-        "verdicts are identical for any value",
-    )
-    contain.add_argument(
-        "--incremental", default=None, choices=["on", "off"],
-        help="force the incremental chase layer on or off (A/B switch; "
-        "verdicts are bit-identical either way)",
-    )
-    contain.add_argument(
         "--backend", default=None, choices=["auto", "bitset", "vec"],
         help="kernel backend for type-table passes ('vec' needs numpy; "
         "verdicts are bit-identical either way)",
@@ -523,14 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--method", default="auto",
         choices=["auto", "baseline", "sparse", "reduction", "direct"],
-    )
-    explain.add_argument(
-        "--workers", default=1, type=_parse_workers, metavar="N",
-        help="process count for the candidate fan-out (int or 'auto')",
-    )
-    explain.add_argument(
-        "--incremental", default=None, choices=["on", "off"],
-        help="force the incremental chase layer on or off",
     )
     explain.add_argument(
         "--backend", default=None, choices=["auto", "bitset", "vec"],

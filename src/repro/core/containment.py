@@ -27,13 +27,12 @@ from typing import Optional, Union
 from repro.core.baseline import contained_no_schema, expansions
 from repro.core.display import strip_internal_labels
 from repro.core.reduction import ReductionConfig, contains_via_reduction, query_key
-from repro.core.search import CountermodelSearch, SearchLimits, SearchOutcome
+from repro.core.search import CountermodelSearch, SearchLimits
 from repro.core.sparse_search import contained_without_participation
 from repro.dl.normalize import NormalizedTBox, normalize
 from repro.dl.tbox import TBox
 from repro.graphs.graph import Graph
 from repro.kernel.memo import BoundedMemo
-from repro.kernel.parallel import parallel_map, resolve_workers
 from repro.obs import REGISTRY, counter_delta, span, tracing
 from repro.queries.crpq import CRPQ
 from repro.queries.evaluation import satisfies, satisfies_union
@@ -50,10 +49,6 @@ class ContainmentOptions:
         default_factory=lambda: SearchLimits(max_nodes=12, max_steps=30_000)
     )
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
-    workers: Union[int, str, None] = 1
-    """Process count for per-candidate fan-out (1 = serial, "auto" = CPUs).
-    Any value yields the same verdicts, countermodels, and counters as a
-    serial run — parallel reductions are serial-equivalent by construction."""
     use_cache: bool = True
     """Memoize whole decisions across calls, keyed by the canonical query
     keys, the schema's :meth:`NormalizedTBox.content_key`, and every option
@@ -62,7 +57,7 @@ class ContainmentOptions:
     """Force the chase's incremental layer on (``True``) or off (``False``)
     across every nested search budget; ``None`` keeps the per-limit
     defaults.  Verdicts and countermodels are identical either way — the
-    flag exists for A/B benchmarking (``--incremental on|off``)."""
+    flag exists as the on/off oracle for tests and the E17 benchmark."""
     deadline: Optional[Deadline] = None
     """A wall-clock budget threaded through every nested search budget
     (like ``incremental``).  Deliberately *excluded* from decision keys and
@@ -107,9 +102,9 @@ def _limits_key(limits: SearchLimits) -> tuple:
     )
 
 
-def _options_key(options: ContainmentOptions, workers: int) -> tuple:
-    # NOTE: options.backend (and reduction.backend) are intentionally NOT
-    # part of the key — backend choice never changes a decision's content
+def _options_key(options: ContainmentOptions) -> tuple:
+    # NOTE: options.backend is intentionally NOT part of the key — backend
+    # choice never changes a decision's content
     red = options.reduction
     return (
         options.max_word_length,
@@ -120,10 +115,8 @@ def _options_key(options: ContainmentOptions, workers: int) -> tuple:
             red.max_expansions,
             _limits_key(red.central_limits),
             _limits_key(red.peripheral_limits),
-            red.tp_precompute_cap,
             red.use_tp_memo,
         ),
-        workers,
     )
 
 
@@ -252,50 +245,16 @@ def supported_combination(
     return _supported_combination(_coerce_query(lhs), _coerce_query(rhs), normalized)
 
 
-def _direct_task(payload) -> SearchOutcome:
-    """Picklable per-expansion direct search for the process pool."""
-    tbox, rhs, seed_graph, limits, disjunct = payload
-    search = CountermodelSearch(
-        tbox,
-        rhs,
-        seed_graph,
-        limits=limits,
-        accept=lambda g: satisfies(g, disjunct),
-    )
-    return search.run()
-
-
 def _direct_search(
     disjunct: CRPQ,
     rhs: UCRPQ,
     tbox: NormalizedTBox,
     options: ContainmentOptions,
-    workers: int = 1,
 ) -> tuple[Optional[Graph], int, bool]:
     """Chase for a T-model satisfying the disjunct and avoiding Q.
 
     Returns (countermodel | None, seeds tried, all searches exhausted).
-    With ``workers`` > 1 the per-expansion searches run on a process pool;
-    the reported winner is the first in expansion order, so the result is
-    identical to the serial run.
     """
-    if workers > 1:
-        candidates = list(
-            expansions(disjunct, options.max_word_length, options.max_expansions)
-        )
-        payloads = [
-            (tbox, rhs, e.graph, options.limits, disjunct) for e in candidates
-        ]
-        outcomes = parallel_map(_direct_task, payloads, workers=workers)
-        for index, outcome in enumerate(outcomes):
-            if outcome.found:
-                model = outcome.countermodel
-                assert tbox.satisfied_by(model)
-                assert satisfies(model, disjunct)
-                assert not satisfies_union(model, rhs)
-                return model, index + 1, True
-        return None, len(outcomes), all(o.exhausted for o in outcomes)
-
     deadline = options.limits.deadline
     seeds = 0
     all_exhausted = True
@@ -303,7 +262,13 @@ def _direct_search(
         if deadline is not None and deadline.expired():
             return None, seeds, False
         seeds += 1
-        outcome = _direct_task((tbox, rhs, expansion.graph, options.limits, disjunct))
+        outcome = CountermodelSearch(
+            tbox,
+            rhs,
+            expansion.graph,
+            limits=options.limits,
+            accept=lambda g: satisfies(g, disjunct),
+        ).run()
         if outcome.found:
             model = outcome.countermodel
             assert tbox.satisfied_by(model)
@@ -321,7 +286,6 @@ def decision_key(
     tbox: Union[None, TBox, NormalizedTBox] = None,
     method: str = "auto",
     options: Optional[ContainmentOptions] = None,
-    workers: Union[int, str, None] = None,
 ) -> tuple:
     """The canonical, hashable identity of a containment decision.
 
@@ -336,8 +300,7 @@ def decision_key(
     rhs_u = _coerce_query(rhs)
     normalized = _coerce_tbox(tbox)
     options = _force_incremental(options or ContainmentOptions())
-    pool = resolve_workers(workers if workers is not None else options.workers)
-    return _decision_key(lhs_u, rhs_u, normalized, method, options, pool)
+    return _decision_key(lhs_u, rhs_u, normalized, method, options)
 
 
 def _decision_key(
@@ -346,14 +309,13 @@ def _decision_key(
     normalized: Optional[NormalizedTBox],
     method: str,
     options: ContainmentOptions,
-    pool: int,
 ) -> tuple:
     return (
         method,
         query_key(lhs_u),
         query_key(rhs_u),
         normalized.content_key() if normalized is not None else None,
-        _options_key(options, pool),
+        _options_key(options),
     )
 
 
@@ -376,12 +338,11 @@ def decision_id(
     tbox: Union[None, TBox, NormalizedTBox] = None,
     method: str = "auto",
     options: Optional[ContainmentOptions] = None,
-    workers: Union[int, str, None] = None,
 ) -> str:
     """A short deterministic id for a decision — a content hash of its
-    :func:`decision_key`.  Used as the trace id carried across the process
-    pool and stamped into exported traces."""
-    key = decision_key(lhs, rhs, tbox, method=method, options=options, workers=workers)
+    :func:`decision_key`.  Used as the trace id stamped into exported
+    traces."""
+    key = decision_key(lhs, rhs, tbox, method=method, options=options)
     return _decision_id(key)
 
 
@@ -395,7 +356,6 @@ def is_contained(
     tbox: Union[None, TBox, NormalizedTBox] = None,
     method: str = "auto",
     options: Optional[ContainmentOptions] = None,
-    workers: Union[int, str, None] = None,
     trace: bool = False,
 ) -> ContainmentResult:
     """Decide P ⊆_T Q (Boolean containment over finite graphs).
@@ -403,8 +363,6 @@ def is_contained(
     ``method`` is one of ``auto``, ``baseline``, ``sparse``, ``reduction``,
     ``direct``; ``auto`` picks per the table in the module docstring.
 
-    ``workers`` overrides ``options.workers`` when given; any worker count
-    yields bit-identical results (parallel fan-outs reduce in serial order).
     Decisions are memoized across calls (``options.use_cache``) keyed by the
     canonical query forms, the schema's content key, and all budgets.
 
@@ -420,15 +378,14 @@ def is_contained(
     rhs_u = _coerce_query(rhs)
     normalized = _coerce_tbox(tbox)
     options = _with_deadline(_force_incremental(options or ContainmentOptions()))
-    pool = resolve_workers(workers if workers is not None else options.workers)
 
     if not trace:
-        return _cached_decide(lhs_u, rhs_u, normalized, method, options, pool)
+        return _cached_decide(lhs_u, rhs_u, normalized, method, options)
 
-    key = _decision_key(lhs_u, rhs_u, normalized, method, options, pool)
+    key = _decision_key(lhs_u, rhs_u, normalized, method, options)
     before = REGISTRY.counters_snapshot()
     with tracing(_decision_id(key)) as tracer:
-        result = _cached_decide(lhs_u, rhs_u, normalized, method, options, pool)
+        result = _cached_decide(lhs_u, rhs_u, normalized, method, options)
     return replace(
         result,
         trace=tracer,
@@ -442,11 +399,10 @@ def _cached_decide(
     normalized: Optional[NormalizedTBox],
     method: str,
     options: ContainmentOptions,
-    pool: int,
 ) -> ContainmentResult:
     cache_key = None
     if options.use_cache:
-        cache_key = _decision_key(lhs_u, rhs_u, normalized, method, options, pool)
+        cache_key = _decision_key(lhs_u, rhs_u, normalized, method, options)
         hit = _DECISION_MEMO.get(cache_key)
         if hit is not None:
             with span("decision", method=hit.method, cached=True) as sp:
@@ -455,7 +411,7 @@ def _cached_decide(
             return replace(hit, countermodel=model)
 
     with span("decision", method=method, cached=False) as sp:
-        result = _decide(lhs_u, rhs_u, normalized, method, options, pool)
+        result = _decide(lhs_u, rhs_u, normalized, method, options)
         if (
             options.deadline is not None
             and not result.complete
@@ -499,7 +455,6 @@ def _decide(
     normalized: Optional[NormalizedTBox],
     method: str,
     options: ContainmentOptions,
-    pool: int,
 ) -> ContainmentResult:
     if normalized is None or method == "baseline":
         base = contained_no_schema(
@@ -534,7 +489,6 @@ def _decide(
             result = contained_without_participation(
                 disjunct, rhs_u, normalized,
                 options.max_word_length, options.max_expansions, options.limits,
-                workers=pool,
             )
             if not result.contained:
                 return ContainmentResult(
@@ -547,14 +501,9 @@ def _decide(
         )
 
     if method == "reduction":
-        config = options.reduction
-        if pool != resolve_workers(config.workers):
-            config = replace(config, workers=pool)
-        if options.backend != config.backend:
-            config = replace(config, backend=options.backend)
         for disjunct in lhs_u:
             result = contains_via_reduction(
-                disjunct, rhs_u, normalized, config=config
+                disjunct, rhs_u, normalized, config=options.reduction
             )
             if not result.contained:
                 return ContainmentResult(
@@ -571,7 +520,7 @@ def _decide(
         certain = True
         for disjunct in lhs_u:
             model, seeds, exhausted = _direct_search(
-                disjunct, rhs_u, normalized, options, workers=pool
+                disjunct, rhs_u, normalized, options
             )
             total_seeds += seeds
             certain = certain and exhausted

@@ -24,11 +24,9 @@ from repro.core.entailment import realizable_type
 from repro.core.search import CountermodelSearch, SearchLimits, SearchOutcome
 from repro.core.starlike import Attachment, StarLikeGraph
 from repro.dl.normalize import NormalizedTBox
-from repro.dl.types import consistent_types
 from repro.graphs.graph import Graph, Node
 from repro.graphs.types import Type, type_of
 from repro.kernel.memo import BoundedMemo
-from repro.kernel.parallel import parallel_map, resolve_workers
 from repro.obs import REGISTRY, span
 from repro.queries.crpq import CRPQ
 from repro.queries.evaluation import satisfies, satisfies_union
@@ -46,16 +44,8 @@ class ReductionConfig:
     peripheral_limits: SearchLimits = field(
         default_factory=lambda: SearchLimits(max_nodes=8, max_steps=20_000)
     )
-    workers: int = 1
-    """Process count for the Tp fan-out; 1 (default) runs fully serial."""
-    tp_precompute_cap: int = 256
-    """With ``workers`` > 1, precompute Tp for all clause-consistent types
-    when there are at most this many; beyond the cap Tp stays lazy/serial."""
     use_tp_memo: bool = True
     """Share Tp verdicts across decisions with structurally equal inputs."""
-    backend: str = "auto"
-    """Kernel backend for the Tp candidate enumeration (excluded from
-    decision keys — see :class:`~repro.core.containment.ContainmentOptions`)."""
 
 
 def query_key(query: UCRPQ) -> tuple:
@@ -142,12 +132,6 @@ class _TpOracle:
             _TP_MEMO.put(memo_key, outcome)
         return outcome
 
-    def seed(self, tau: Type, outcome: SearchOutcome) -> None:
-        """Install a precomputed outcome (the parallel fan-out path)."""
-        self.cache[tau] = outcome
-        if self._memo_prefix is not None:
-            _TP_MEMO.put((*self._memo_prefix, tau), outcome)
-
     def witness(self, tau: Type) -> Optional[Graph]:
         if tau not in self.cache:
             self.calls += 1
@@ -156,12 +140,6 @@ class _TpOracle:
                 self.uncertain = True
             self.cache[tau] = outcome
         return self.cache[tau].countermodel
-
-
-def _tp_task(payload) -> SearchOutcome:
-    """Picklable per-type Tp entailment call for the process pool."""
-    tau, tbox, q_hat, limits = payload
-    return realizable_type(tau, tbox, q_hat, limits=limits)
 
 
 def contains_via_reduction(
@@ -212,25 +190,6 @@ def _contains_via_reduction(
     oracle = _TpOracle(
         tbox, q_hat, config.peripheral_limits, use_memo=config.use_tp_memo
     )
-
-    workers = resolve_workers(config.workers)
-    if workers > 1:
-        # fan the per-type Tp entailments out over a process pool up front;
-        # results are installed into the oracle so the decision itself stays
-        # deterministic and identical to a serial run
-        candidates = [
-            tau
-            for tau in consistent_types(tbox, signature, backend=config.backend)
-            if any(ci.subject in tau for ci in tbox.at_leasts)
-        ]
-        if 0 < len(candidates) <= config.tp_precompute_cap:
-            payloads = [
-                (tau, tbox, q_hat, config.peripheral_limits) for tau in candidates
-            ]
-            outcomes = parallel_map(_tp_task, payloads, workers=workers)
-            for tau, outcome in zip(candidates, outcomes):
-                if outcome is not None:
-                    oracle.seed(tau, outcome)
 
     def violating_nodes(graph: Graph) -> list[Node]:
         nodes = []

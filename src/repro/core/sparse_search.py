@@ -21,11 +21,10 @@ from typing import Optional
 
 from repro.automata.product import witness_path
 from repro.core.baseline import expansions
-from repro.core.search import CountermodelSearch, SearchLimits, SearchOutcome
+from repro.core.search import CountermodelSearch, SearchLimits
 from repro.dl.normalize import NormalizedTBox
 from repro.graphs.graph import Graph, Node
 from repro.graphs.labels import NodeLabel
-from repro.kernel.parallel import first_success, resolve_workers
 from repro.obs import REGISTRY, span
 from repro.queries.crpq import CRPQ
 from repro.queries.evaluation import matches, satisfies_union
@@ -91,20 +90,6 @@ class SparseSearchResult:
         return self.contained
 
 
-def _sparse_task(payload) -> SearchOutcome:
-    """Picklable per-candidate search for the process pool (the accept
-    closure is rebuilt worker-side)."""
-    tbox, rhs, seed_graph, limits = payload
-    search = CountermodelSearch(
-        tbox,
-        rhs,
-        seed_graph,
-        limits=limits,
-        accept=lambda g: not satisfies_union(g, rhs),
-    )
-    return search.run()
-
-
 def contained_without_participation(
     lhs: CRPQ,
     rhs: UCRPQ,
@@ -112,7 +97,6 @@ def contained_without_participation(
     max_word_length: int = 4,
     max_expansions: int = 500,
     limits: Optional[SearchLimits] = None,
-    workers: int = 1,
 ) -> SparseSearchResult:
     """Theorem 3.2: containment p ⊆_T Q for T without participation
     constraints, by search over |p|-sparse countermodel candidates.
@@ -121,26 +105,20 @@ def contained_without_participation(
     at-least CIs, the chase never adds nodes or edges and merely resolves
     label obligations, so candidates stay sparse.
 
-    With ``workers`` > 1 the per-candidate searches fan out over a process
-    pool; the winning candidate is the first in expansion order (not first
-    to finish), so the verdict, countermodel, and ``seeds_tried`` are
-    identical to a serial run.
-
     ``limits.incremental`` governs the chase's incremental layer inside
     every per-candidate :class:`CountermodelSearch` (containment's
-    ``--incremental on|off`` A/B flag is pinned into these limits).  The
+    ``options.incremental`` is pinned into these limits).  The
     compiled matchers for ``rhs`` are built once and shared across the
     whole candidate sweep through the ``compile_query`` memo, so the
-    fan-out pays query compilation once, not per seed.
+    sweep pays query compilation once, not per seed.
     """
     if tbox.has_participation_constraints():
         raise ValueError("use the general procedure: the TBox has participation constraints")
     limits = limits or SearchLimits(max_nodes=64, max_steps=20_000)
-    pool_workers = resolve_workers(workers)
 
-    with span("sparse", workers=pool_workers) as sp:
+    with span("sparse") as sp:
         result = _sparse_decision(
-            lhs, rhs, tbox, max_word_length, max_expansions, limits, pool_workers
+            lhs, rhs, tbox, max_word_length, max_expansions, limits
         )
         sp.set(
             contained=result.contained,
@@ -158,31 +136,8 @@ def _sparse_decision(
     max_word_length: int,
     max_expansions: int,
     limits: SearchLimits,
-    pool_workers: int,
 ) -> SparseSearchResult:
     deadline = limits.deadline
-    if pool_workers > 1:
-        candidates = list(expansions(lhs, max_word_length, max_expansions))
-        payloads = [(tbox, rhs, e.graph, limits) for e in candidates]
-        outcome, seeds = first_success(
-            _sparse_task, payloads, workers=pool_workers,
-            success=lambda o: o is not None and o.found,
-        )
-        if outcome is not None:
-            model = outcome.countermodel
-            assert tbox.satisfied_by(model)
-            assert not satisfies_union(model, rhs)
-            return SparseSearchResult(False, True, model, seeds)
-        cut = deadline is not None and deadline.expired()
-        if cut:
-            REGISTRY.inc("sparse.deadline_cut")
-        complete = (
-            not cut
-            and len(candidates) < max_expansions
-            and max_word_length >= _expansion_bound_hint(lhs)
-        )
-        return SparseSearchResult(True, complete, None, seeds)
-
     seeds = 0
     cut = False
     for expansion in expansions(lhs, max_word_length, max_expansions):
@@ -190,7 +145,13 @@ def _sparse_decision(
             cut = True
             break
         seeds += 1
-        outcome = _sparse_task((tbox, rhs, expansion.graph, limits))
+        outcome = CountermodelSearch(
+            tbox,
+            rhs,
+            expansion.graph,
+            limits=limits,
+            accept=lambda g: not satisfies_union(g, rhs),
+        ).run()
         if outcome.found:
             model = outcome.countermodel
             # re-verify the three defining conditions

@@ -1,4 +1,4 @@
-"""Performance kernel: bitset type algebra, parallel fan-out, decision memo.
+"""Performance kernel: bitset type algebra, vectorized tables, decision memo.
 
 The fixpoint procedures of Sections 5–6 and the classical type elimination
 all range over maximal types — 2^|Γ₀| of them.  This package provides the
@@ -9,8 +9,6 @@ machinery that makes those loops fast without changing any verdict:
 * :mod:`repro.kernel.vec` / :mod:`repro.kernel.vec_fixpoint` — the whole
   Γ₀ table as numpy uint64 bit matrices, elimination waves as bulk boolean
   ops (optional ``repro[vec]`` extra; selected via ``backend="auto"``);
-* :mod:`repro.kernel.parallel` — a process-pool fan-out with a picklable
-  task encoding and a deterministic, serial-equivalent reduction;
 * :mod:`repro.kernel.memo` — bounded cross-decision caches keyed by
   :meth:`NormalizedTBox.content_key`.
 
@@ -33,13 +31,6 @@ from repro.kernel.vec import (
     VecUnavailable,
     resolve_backend,
 )
-from repro.kernel.parallel import (
-    first_success,
-    parallel_map,
-    resolve_workers,
-    set_pool_reuse,
-    shutdown_shared_pool,
-)
 
 __all__ = [
     "BACKENDS",
@@ -52,10 +43,5 @@ __all__ = [
     "resolve_backend",
     "compiled_clauses_for",
     "enumerate_consistent_bits",
-    "first_success",
     "inert_partition",
-    "parallel_map",
-    "resolve_workers",
-    "set_pool_reuse",
-    "shutdown_shared_pool",
 ]

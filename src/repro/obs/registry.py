@@ -131,12 +131,8 @@ class CounterRegistry:
             }
 
     def flushed_counters(self) -> Dict[str, int]:
-        """Only the explicitly flushed counters, without sampling probes.
-
-        Used for worker-side deltas across a pool crossing: probe-backed
-        values describe worker-local memo objects and must not be merged
-        into the parent process's view.
-        """
+        """Only the explicitly flushed counters, without sampling probes —
+        the cheap view for before/after deltas around one operation."""
         with self._lock:
             return dict(self._counters)
 

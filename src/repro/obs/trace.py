@@ -19,11 +19,6 @@ names or attributes — so traced runs stay bit-identical in verdicts and
 countermodels, and two traces of the same decision differ only in their
 timing fields.
 
-Spans may cross the process pool (:mod:`repro.kernel.parallel`): a worker
-runs under its own :class:`Tracer` carrying the parent's decision id, and
-the parent *grafts* the returned payload under its active span on join —
-in task order, so the merged tree is deterministic too.
-
 Collectors are installed per process and are not thread-safe; install one
 per thread-of-control (the decision procedures are single-threaded, and
 the service's scheduler drains sequentially).
@@ -163,19 +158,6 @@ class Span:
         self._tracer._close(self)
         return False
 
-    # ------------------------------------------------------------- #
-    # (de)serialization for pool crossings
-
-    def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "attrs": dict(self.attrs),
-            "start_ms": self.start_ms,
-            "dur_ms": self.dur_ms,
-            "status": self.status,
-            "children": [child.to_payload() for child in self.children],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, seq={self.seq}, children={len(self.children)})"
 
@@ -203,16 +185,6 @@ class Tracer:
     def span(self, name: str, attrs: dict) -> Span:
         return Span(self, name, attrs)
 
-    def absorb(self, payload: dict) -> None:
-        """Merge a worker's trace payload (:meth:`payload`) under the
-        currently open span, in call order, and fold the worker's flushed
-        counter deltas into this process's registry."""
-        for root in payload.get("roots", ()):
-            self._graft(root, self._stack[-1] if self._stack else None)
-        counters = payload.get("counters")
-        if counters:
-            self.registry.inc_many(counters)
-
     # ------------------------------------------------------------- #
 
     def current_span(self) -> Optional[Span]:
@@ -231,13 +203,6 @@ class Tracer:
 
         for root in self.roots:
             yield from visit(root, 0)
-
-    def payload(self) -> dict:
-        """A picklable snapshot of the whole forest (for pool returns)."""
-        return {
-            "trace_id": self.trace_id,
-            "roots": [root.to_payload() for root in self.roots],
-        }
 
     # ------------------------------------------------------------- #
     # span lifecycle (called by Span.__enter__/__exit__)
@@ -264,22 +229,6 @@ class Tracer:
                 top.status = "error"
                 top.dur_ms = (self._clock() - self._t0) * 1000.0 - top.start_ms
         self.registry.observe_phase(node.name, node.dur_ms)
-
-    def _graft(self, payload: dict, parent: Optional[Span]) -> Span:
-        node = Span(self, payload["name"], payload.get("attrs", {}))
-        node.seq = self._seq
-        self._seq += 1
-        node.start_ms = payload.get("start_ms", 0.0)
-        node.dur_ms = payload.get("dur_ms", 0.0)
-        node.status = payload.get("status", "ok")
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            self.roots.append(node)
-        self.registry.observe_phase(node.name, node.dur_ms)
-        for child in payload.get("children", ()):
-            self._graft(child, node)
-        return node
 
 
 class _PhaseSpan:
@@ -320,21 +269,6 @@ class PhaseAggregator:
 
     def __init__(self, registry: Optional[CounterRegistry] = None) -> None:
         self.registry = registry if registry is not None else REGISTRY
-        self.trace_id = ""
 
     def span(self, name: str, attrs: dict) -> _PhaseSpan:
         return _PhaseSpan(self.registry, name)
-
-    def absorb(self, payload: dict) -> None:
-        """Replay a worker payload's spans into the phase aggregates."""
-
-        def visit(node: dict) -> None:
-            self.registry.observe_phase(node["name"], node.get("dur_ms", 0.0))
-            for child in node.get("children", ()):
-                visit(child)
-
-        for root in payload.get("roots", ()):
-            visit(root)
-        counters = payload.get("counters")
-        if counters:
-            self.registry.inc_many(counters)

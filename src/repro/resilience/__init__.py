@@ -9,10 +9,6 @@ first-class features:
   through every hot loop of the decision pipeline.  An expired deadline
   always yields a clean *incomplete* result, never a hang and never an
   exception at the API boundary.
-* worker-crash recovery lives in :mod:`repro.kernel.parallel` — dead pool
-  workers are detected, the pool respawned with capped exponential
-  backoff, in-flight tasks re-submitted, and execution degrades to serial
-  after repeated failures (see :class:`RecoveryPolicy` re-exported here).
 * :mod:`repro.resilience.faults` — a deterministic fault-injection harness
   with named sites (``raise`` / ``delay`` / ``kill_worker``) activated via
   ``REPRO_FAULTS`` or programmatically; the chaos test suite and the E20

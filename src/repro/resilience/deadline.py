@@ -16,9 +16,9 @@ loops *cooperatively* poll.  The design constraints, in order:
    :meth:`Deadline.check` exists for callers that prefer the exception
    style internally (:class:`DeadlineExceeded`).
 4. **Fork-safe.**  A deadline is an absolute ``time.monotonic()`` value;
-   on the platforms the process pool runs on (Linux ``CLOCK_MONOTONIC``,
-   macOS ``mach_absolute_time``) that clock is system-wide, so a pickled
-   deadline keeps meaning the same instant inside pool workers.
+   on Linux (``CLOCK_MONOTONIC``) and macOS (``mach_absolute_time``) that
+   clock is system-wide, so a pickled deadline keeps meaning the same
+   instant in another process.
 
 Expiry latches: once a deadline has been observed expired it stays
 expired, even for clock reads that would race right at the boundary.
@@ -115,7 +115,7 @@ class Deadline:
         return max(0.0, (self.at - time.monotonic()) * 1000.0)
 
     # ------------------------------------------------------------- #
-    # pickling (process-pool fan-out) — counters are per-process state
+    # pickling — the poll countdown is per-process state
 
     def __getstate__(self) -> tuple:
         return (self.at, self.stride, self._expired)

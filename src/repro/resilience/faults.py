@@ -12,9 +12,9 @@ with one of three actions:
 ``delay``
     ``time.sleep(arg)`` at the site — models a stall (deadline tests).
 ``kill_worker``
-    Invoke the site-provided ``kill`` callback — sites inside the parallel
-    kernel pass a callback that SIGKILLs one live pool worker, modelling a
-    worker crash.  Sites without a callback ignore the action.
+    Invoke the site-provided ``kill`` callback — the gateway's shard worker
+    passes one that kills its own process, modelling a worker crash.  Sites
+    without a callback ignore the action.
 
 Plans are *deterministic*: each rule fires for exactly its first ``times``
 matching hits (counted in the installing process), so a chaos test replays
@@ -26,7 +26,6 @@ Named sites wired through the codebase:
 site                      where
 ========================  =================================================
 ``search.step``           :meth:`CountermodelSearch._tick` (per chase step)
-``parallel.dispatch``     :func:`repro.kernel.parallel` before a pool batch
 ``scheduler.dispatch``    :meth:`DecisionScheduler` before running a decision
 ``cache.append``          :meth:`DecisionCache.put` before the journal write
 ``gateway.dispatch``      gateway dispatch loop, before submitting a
@@ -70,7 +69,7 @@ ENV_VAR = "REPRO_FAULTS"
 
 class FaultInjected(RuntimeError):
     """An armed ``raise`` fault fired.  Treated as *transient* by the
-    service retry path (alongside ``BrokenProcessPool`` and ``OSError``)."""
+    service retry path (alongside ``OSError``)."""
 
 
 @dataclass
@@ -111,7 +110,7 @@ def parse_faults(spec: str) -> FaultPlan:
     """Parse a plan spec: comma-separated ``site:action[:times[:arg]]``.
 
     ``times`` defaults to 1; ``-1`` means unlimited.  Examples:
-    ``"parallel.dispatch:kill_worker"``, ``"search.step:raise:1"``,
+    ``"gateway.shard.handle:kill_worker"``, ``"search.step:raise:1"``,
     ``"scheduler.dispatch:delay:3:0.01"``.
     """
     plan = FaultPlan()

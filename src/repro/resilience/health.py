@@ -5,8 +5,7 @@ signals — integrity-audit failures, worker losses (crash/respawn), and
 fault-site trips — into one of three states:
 
 ``healthy``
-    Full stack: semantic cache, auto backend (vec where profitable),
-    parallel pool.
+    Full stack: semantic cache, auto backend (vec where profitable).
 
 ``degraded``
     The shard still answers, but the *riskiest* layers are progressively
@@ -18,13 +17,11 @@ fault-site trips — into one of three states:
     1. drop the **semantic cache** (inference over cached premises — the
        only layer that *derives* verdicts instead of computing them);
     2. pin the **bitset backend** (the vec kernel is the A/B mirror; the
-       bitset kernel is the reference oracle);
-    3. drop the **parallel pool** (serial execution removes IPC and
-       worker-crash surface entirely).
+       bitset kernel is the reference oracle).
 
     Rung overrides only touch options that are excluded from decision
-    identity (``semantic_cache``, ``backend``, ``workers``), so a degraded
-    shard's verdicts are bit-identical to a healthy one's.
+    identity (``semantic_cache``, ``backend``), so a degraded shard's
+    verdicts are bit-identical to a healthy one's.
 
 ``quarantined``
     The ladder is exhausted (or the worker is unrecoverable): the shard
@@ -52,7 +49,6 @@ LADDER: tuple[dict, ...] = (
     {},
     {"semantic_cache": False},
     {"semantic_cache": False, "backend": "bitset"},
-    {"semantic_cache": False, "backend": "bitset", "workers": 1},
 )
 """Cumulative per-rung request-option overrides, riskiest layer first.
 

@@ -85,7 +85,6 @@ class GatewayConfig:
     not in the worker's FIFO."""
     cache_dir: Union[None, str, Path] = None
     use_cache: bool = False
-    workers: Union[int, str, None] = None
     default_timeout_ms: Optional[int] = None
     backend: Optional[str] = None
     semantic_cache: bool = True
@@ -147,7 +146,6 @@ class GatewayServer:
             processes=self.config.processes,
             cache_dir=self.config.cache_dir,
             use_cache=self.config.use_cache,
-            workers=self.config.workers,
             default_timeout_ms=self.config.default_timeout_ms,
             backend=self.config.backend,
             semantic_cache=self.config.semantic_cache,
@@ -589,9 +587,9 @@ class GatewayServer:
     def _apply_overrides(line: str, overrides: dict) -> str:
         """Merge degradation-ladder overrides into a decide wire line.
 
-        Every ladder key (``semantic_cache`` / ``backend`` / ``workers``)
-        is excluded from decision identity, so the rewritten request gets
-        the same verdict — computed with less machinery."""
+        Every ladder key (``semantic_cache`` / ``backend``) is excluded
+        from decision identity, so the rewritten request gets the same
+        verdict — computed with less machinery."""
         try:
             data = json.loads(line)
         except ValueError:

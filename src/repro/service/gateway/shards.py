@@ -97,8 +97,6 @@ def _shard_server(config: dict, shard_id: int):
     return ContainmentServer(
         cache_dir=cache_dir,
         use_cache=config.get("use_cache", False),
-        workers=config.get("workers"),
-        pool_reuse=config.get("pool_reuse", False),
         default_timeout_ms=config.get("default_timeout_ms"),
         backend=config.get("backend"),
         semantic_cache=config.get("semantic_cache", True),
@@ -117,7 +115,6 @@ def _worker_loop(
     Runs in a forked process (process mode) or a daemon thread (inline
     mode).  Never lets a request error escape — ``handle_line`` already
     guarantees that — and treats a broken parent pipe as shutdown."""
-    from repro.kernel.parallel import set_pool_reuse
     from repro.obs import PhaseAggregator, active_collector, install
 
     in_process = config.get("processes", True)
@@ -130,9 +127,6 @@ def _worker_loop(
 
     server = _shard_server(config, shard_id)
     stream = server.new_stream()
-    pool_reuse = config.get("pool_reuse", False)
-    if pool_reuse:
-        set_pool_reuse(True)
     if in_process and active_collector() is None:
         install(PhaseAggregator())
 
@@ -182,8 +176,6 @@ def _worker_loop(
     except (SystemExit, KeyboardInterrupt):
         pass
     finally:
-        if pool_reuse:
-            set_pool_reuse(False)
         for s in (writer, reader):
             try:
                 s.close()
@@ -470,8 +462,6 @@ class ShardFleet:
         processes: bool = True,
         cache_dir: Union[None, str, Path] = None,
         use_cache: bool = False,
-        workers: Union[int, str, None] = None,
-        pool_reuse: bool = False,
         default_timeout_ms: Optional[int] = None,
         backend: Optional[str] = None,
         semantic_cache: bool = True,
@@ -495,8 +485,6 @@ class ShardFleet:
         self.worker_config = {
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
             "use_cache": use_cache,
-            "workers": workers,
-            "pool_reuse": pool_reuse,
             "default_timeout_ms": default_timeout_ms,
             "backend": backend,
             "semantic_cache": semantic_cache,

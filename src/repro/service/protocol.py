@@ -6,7 +6,7 @@ One JSON object per line, in both directions.  Requests:
     ``{"type": "decide", "id": "r1", "lhs": "A(x)", "rhs": "B(x)",
     "schema": {"name": ..., "cis": [["lhs","rhs"], ...]} | null,
     "schema_ref": "s1", "method": "auto", "priority": 0,
-    "options": {"workers": 1, "incremental": null, ...}}``
+    "options": {"max_nodes": 12, "timeout_ms": 500, ...}}``
 
     Any request may carry an optional ``"tenant": "t1"`` label ([A-Za-z0-9._-],
     ≤64 chars; default ``"default"``).  The sequential server records and
@@ -87,8 +87,8 @@ class Request:
 
 
 _OPTION_FIELDS = (
-    "workers", "incremental", "max_word_length", "max_expansions",
-    "max_nodes", "max_steps", "timeout_ms", "backend", "semantic_cache",
+    "max_word_length", "max_expansions", "max_nodes", "max_steps",
+    "timeout_ms", "backend", "semantic_cache",
 )
 
 _NON_NEGATIVE_INT_FIELDS = (
@@ -192,13 +192,6 @@ def build_options(raw: dict) -> ContainmentOptions:
         options = replace(options, max_word_length=int(raw["max_word_length"]))
     if "max_expansions" in raw:
         options = replace(options, max_expansions=int(raw["max_expansions"]))
-    if "workers" in raw and raw["workers"] is not None:
-        options = replace(options, workers=raw["workers"])
-    if "incremental" in raw:
-        flag = raw["incremental"]
-        if flag is not None:
-            flag = bool(flag)
-        options = replace(options, incremental=flag)
     if "backend" in raw:
         options = replace(options, backend=str(raw["backend"]))
     if "semantic_cache" in raw:

@@ -17,11 +17,9 @@ exactly once per server lifetime:
    search.  Semantic verdicts are never written back to the dedup memo or
    the journal: they are derived facts, not fresh decisions, and a later
    exact request should still record the search-produced verdict;
-4. **computed** — dispatched through :func:`repro.core.containment.is_contained`,
-   which fans its per-candidate subproblems out over the shared
-   ``kernel.parallel`` pool when the request asks for workers.  Computed
-   deterministic verdicts feed the lattice (and its on-disk journal) as
-   premises for future inference.
+4. **computed** — dispatched through :func:`repro.core.containment.is_contained`
+   in this process.  Computed deterministic verdicts feed the lattice (and
+   its on-disk journal) as premises for future inference.
 
 Responses are *emitted* in arrival order regardless of execution order, so
 a batch's output is byte-deterministic and comparable line-by-line against
@@ -43,7 +41,7 @@ dedup memo, the persistent journal, or a fresh computation first has its
 countermodel re-verified by the compiled matchers.  A failed journal entry
 is quarantined and the request falls through to a fresh decision; a failed
 *computed* verdict triggers one re-decide on the reference configuration
-(bitset kernel, serial, caches bypassed), and only if *that* also fails
+(bitset kernel, caches bypassed), and only if *that* also fails
 does the request answer with a structured error.  Semantic hits need no
 serve-time gate: the lattice replays countermodels against the new lhs at
 lookup time, which *is* the audit.  A deterministic 1-in-N sample of
@@ -51,8 +49,8 @@ freshly computed complete verdicts is additionally re-decided on the
 mirror kernel backend (bitset↔vec); on a mismatch the reference answer is
 the one served and stored.
 
-Resolution is fail-soft: transient infrastructure failures (a broken
-process pool, an injected fault) are retried with capped exponential
+Resolution is fail-soft: transient infrastructure failures (an OS error,
+an injected fault) are retried with capped exponential
 backoff; anything else answers that one request with a structured
 ``error`` response while the rest of the batch keeps flowing.  A request
 with a ``timeout_ms`` budget (own or server default) runs under a
@@ -66,9 +64,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.containment import (
     ContainmentOptions,
@@ -102,10 +99,10 @@ QUERY_INTERN_MAX = 2048
 Matches the compiled-query memo (``compile.query``), so a working set that
 fits the intern table also keeps its compiled matchers."""
 
-_TRANSIENT_ERRORS = (BrokenProcessPool, OSError, FaultInjected)
+_TRANSIENT_ERRORS = (OSError, FaultInjected)
 """Exception classes the scheduler treats as retryable infrastructure
-failures (a lost pool, a transient OS hiccup, an injected fault) as opposed
-to deterministic decision errors."""
+failures (a transient OS hiccup, an injected fault) as opposed to
+deterministic decision errors."""
 
 
 @dataclass(order=True)
@@ -129,7 +126,6 @@ class DecisionScheduler:
         sessions: Optional[SessionManager] = None,
         cache: Optional[DecisionCache] = None,
         metrics: Optional[ServiceMetrics] = None,
-        workers: Union[int, str, None] = None,
         default_timeout_ms: Optional[int] = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
@@ -140,7 +136,6 @@ class DecisionScheduler:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.sessions = sessions if sessions is not None else SessionManager(self.metrics)
         self.cache = cache
-        self.default_workers = workers
         self.default_timeout_ms = default_timeout_ms
         """Wall-clock cap applied to requests without their own
         ``options.timeout_ms``; ``None`` leaves them unbounded."""
@@ -196,8 +191,6 @@ class DecisionScheduler:
         except Exception as exc:
             raise ProtocolError(f"query parse error: {exc}") from exc
         options = build_options(request.options)
-        if "workers" not in request.options and self.default_workers is not None:
-            options = replace(options, workers=self.default_workers)
         if "backend" not in request.options and self.default_backend is not None:
             options = replace(options, backend=self.default_backend)
         key = decision_key(
@@ -267,7 +260,7 @@ class DecisionScheduler:
 
     def _verdict_with_retry(self, item: _Item) -> tuple[dict, str]:
         """Run the decision, retrying transient infrastructure failures
-        (lost pools, injected faults) with capped exponential backoff."""
+        (OS errors, injected faults) with capped exponential backoff."""
         attempt = 0
         while True:
             try:
@@ -372,14 +365,13 @@ class DecisionScheduler:
         return verdict
 
     def _reference_verdict(self, item: _Item, tbox) -> dict:
-        """Last-resort sound fallback: serial bitset kernel, every cache
-        and inference layer bypassed, no deadline — then audited again."""
+        """Last-resort sound fallback: bitset kernel, every cache and
+        inference layer bypassed, no deadline — then audited again."""
         self.metrics.count("audit_reference_redecides")
         REGISTRY.inc("audit.reference.redecides")
         options = replace(
             item.options,
             backend="bitset",
-            workers=1,
             use_cache=False,
             semantic_cache=False,
             deadline=None,
@@ -393,7 +385,7 @@ class DecisionScheduler:
         ):
             raise AuditFailure(
                 "audit failed: countermodel rejected even on the reference "
-                "backend (serial bitset, caches bypassed)"
+                "backend (bitset, caches bypassed)"
             )
         return verdict
 

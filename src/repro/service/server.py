@@ -17,10 +17,6 @@ Verdict emission is buffered: ``decide`` requests queue in the scheduler
 until a ``flush`` / ``shutdown`` / end-of-input, so the scheduler can
 dedup and priority-order a whole batch before any search runs.  Control
 requests (``stats``, ``ping``, ``schema``) answer immediately.
-
-While serving, the ``kernel.parallel`` shared pool is enabled so decisions
-that request workers reuse one warm process pool instead of spawning one
-per decision; it is torn down when the serve loop exits.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import stat
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
-from repro.kernel.parallel import set_pool_reuse
 from repro.obs import REGISTRY, PhaseAggregator, active_collector, install, uninstall
 from repro.resilience.audit import JournalScrubber, VerdictAuditor
 from repro.service.cache import DecisionCache
@@ -70,8 +65,6 @@ class ContainmentServer:
         scheduler: Optional[DecisionScheduler] = None,
         cache_dir: Union[None, str, Path] = None,
         use_cache: bool = True,
-        workers: Union[int, str, None] = None,
-        pool_reuse: bool = True,
         default_timeout_ms: Optional[int] = None,
         backend: Optional[str] = None,
         semantic_cache: bool = True,
@@ -91,7 +84,7 @@ class ContainmentServer:
             )
             self.scheduler = DecisionScheduler(
                 SessionManager(metrics, backend=backend or "auto"),
-                cache, metrics, workers=workers,
+                cache, metrics,
                 default_timeout_ms=default_timeout_ms,
                 backend=backend,
                 semantic_cache=semantic_cache,
@@ -99,7 +92,6 @@ class ContainmentServer:
             )
         self.metrics = self.scheduler.metrics
         self.sessions = self.scheduler.sessions
-        self.pool_reuse = pool_reuse
         self.scrubber: Optional[JournalScrubber] = None
         if scrub_interval_s is not None and self.scheduler.cache is not None:
             self.scrubber = JournalScrubber(
@@ -223,7 +215,6 @@ class ContainmentServer:
 
     def serve_pipe(self, in_stream: IO[str], out_stream: IO[str]) -> None:
         """Serve one JSONL conversation from stream to stream."""
-        set_pool_reuse(self.pool_reuse)
         installed = self._install_aggregator()
         if self.scrubber is not None:
             self.scrubber.start()
@@ -234,7 +225,6 @@ class ContainmentServer:
                 self.scrubber.stop()
             if installed:
                 uninstall()
-            set_pool_reuse(False)
 
     @staticmethod
     def _install_aggregator() -> bool:
@@ -277,7 +267,6 @@ class ContainmentServer:
         socket_path = Path(path)
         self._remove_stale_socket(socket_path)
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        set_pool_reuse(self.pool_reuse)
         installed = self._install_aggregator()
         if self.scrubber is not None:
             self.scrubber.start()
@@ -312,7 +301,6 @@ class ContainmentServer:
                 self.scrubber.stop()
             if installed:
                 uninstall()
-            set_pool_reuse(False)
             listener.close()
             if socket_path.exists():
                 socket_path.unlink()

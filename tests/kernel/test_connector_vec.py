@@ -132,9 +132,11 @@ def test_oversized_space_fails_before_scanner_allocates(monkeypatch):
 def test_forced_scan_twoway_end_to_end_matches_bitset(monkeypatch):
     """A counting TBox whose T_c carries fresh-name definitions, run with
     the scan threshold at 1 so every connector search goes through the
-    scanner: verdict, stats (incl. witnesses), and survivors identical."""
-    raw = TBox.of([("A", ">=2 r.B"), ("B", "C"), ("C", "<=3 r.B")], name="scan")
+    scanner: verdict, stats (incl. witnesses), and survivors identical.
+    E22's full run repeats this with ``<=3 r.B``, a larger pick space."""
+    raw = TBox.of([("A", ">=2 r.B"), ("B", "C"), ("C", "<=2 r.B")], name="scan")
     tbox = normalize(raw)
+    assert fragments.alcq_factorization(tbox).connectors_tbox.definitions
     query = parse_query("A(x), r(x,y), B(y)")
     monkeypatch.setattr(twoway, "VEC_SCAN_MIN_CANDIDATES", 1)
     results = {}

@@ -1,6 +1,4 @@
-"""Span nesting, exception safety, determinism, and pool-payload grafting."""
-
-import pickle
+"""Span nesting, exception safety, determinism, and the tracing context."""
 
 import pytest
 
@@ -149,47 +147,6 @@ class TestTracingContext:
         with tracing("d-123", registry=CounterRegistry()) as tracer:
             pass
         assert tracer.trace_id == "d-123"
-        assert tracer.payload()["trace_id"] == "d-123"
-
-
-class TestPayloadGrafting:
-    def _worker_payload(self):
-        """Simulate a worker process: its own tracer, then a pickled payload."""
-        worker_registry = CounterRegistry()
-        with tracing("d-xyz", registry=worker_registry) as worker:
-            with span("search", steps=7):
-                pass
-        payload = worker.payload()
-        return pickle.loads(pickle.dumps(payload))  # crosses the pool pickled
-
-    def test_absorb_grafts_under_open_span(self):
-        payload = self._worker_payload()
-        with tracing("d-xyz", registry=CounterRegistry()) as parent:
-            with span("decision"):
-                parent.absorb(payload)
-        (decision,) = parent.roots
-        (search,) = decision.children
-        assert search.name == "search"
-        assert search.attrs["steps"] == 7
-        assert search.seq == 1  # grafted in task order after the open span
-
-    def test_absorb_counters_merge_into_registry(self):
-        payload = self._worker_payload()
-        payload["counters"] = {"search.steps": 7}
-        registry = CounterRegistry()
-        with tracing(registry=registry) as parent:
-            with span("decision"):
-                parent.absorb(payload)
-        assert registry.get("search.steps") == 7
-
-    def test_phase_aggregator_absorbs_payloads(self):
-        payload = self._worker_payload()
-        payload["counters"] = {"search.steps": 7}
-        registry = CounterRegistry()
-        PhaseAggregator(registry).absorb(payload)
-        snap = registry.snapshot()
-        assert snap["phases"]["search"]["count"] == 1
-        assert snap["counters"]["search.steps"] == 7
 
 
 class TestPhaseAggregator:

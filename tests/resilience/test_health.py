@@ -1,5 +1,8 @@
 """The per-shard health state machine: ladder climbs, recovery, probes."""
 
+import json
+
+from repro.core.containment import decision_key
 from repro.resilience.health import (
     DEGRADED,
     HEALTHY,
@@ -8,6 +11,8 @@ from repro.resilience.health import (
     HealthPolicy,
     ShardHealth,
 )
+from repro.service.gateway.gateway import GatewayServer
+from repro.service.protocol import build_options
 
 
 class Clock:
@@ -54,18 +59,12 @@ def test_success_resets_the_failure_streak():
     assert health.state == HEALTHY
 
 
-def test_ladder_order_is_semantic_then_backend_then_workers():
+def test_ladder_order_is_semantic_then_backend():
     health = make(HealthPolicy(degrade_after=1))
     health.record_failure("audit_failure")
     assert health.overrides() == {"semantic_cache": False}
     health.record_failure("audit_failure")
     assert health.overrides() == {"semantic_cache": False, "backend": "bitset"}
-    health.record_failure("audit_failure")
-    assert health.overrides() == {
-        "semantic_cache": False,
-        "backend": "bitset",
-        "workers": 1,
-    }
     assert health.state == DEGRADED
 
 
@@ -79,9 +78,21 @@ def test_exhausting_the_ladder_quarantines():
 
 
 def test_ladder_overrides_only_touch_identity_excluded_options():
-    # the soundness contract: every ladder key is excluded from decision
-    # identity, so degrading can never change an answer
-    assert set().union(*LADDER) <= {"semantic_cache", "backend", "workers"}
+    # the soundness contract: a rung may only rewrite options that are
+    # excluded from decision identity, so degrading can never change an
+    # answer.  The line starts every overridden key from another value.
+    options = {"semantic_cache": True, "backend": "vec", "max_nodes": 6}
+    line = json.dumps({"lhs": "A(x), r(x,y)", "rhs": "B(y)", "options": options})
+
+    def key_of(wire: str) -> tuple:
+        data = json.loads(wire)
+        return decision_key(data["lhs"], data["rhs"], options=build_options(data["options"]))
+
+    for overrides in LADDER:
+        assert set(overrides) <= set(options), "give new ladder keys a start value"
+        rewritten = GatewayServer._apply_overrides(line, overrides)
+        assert json.loads(rewritten)["options"] == {**options, **overrides}
+        assert key_of(rewritten) == key_of(line), overrides
 
 
 def test_success_streak_steps_back_down_to_healthy():

@@ -99,7 +99,7 @@ def test_decide_over_tcp_matches_sequential_server():
 
     gateway_verdicts = run(scenario())
 
-    reference = ContainmentServer(use_cache=False, pool_reuse=False)
+    reference = ContainmentServer(use_cache=False)
     stream = reference.new_stream()
     reference.handle_line(json.dumps(
         {"type": "schema", "ref": "s", "tbox": SCHEMA}), stream)

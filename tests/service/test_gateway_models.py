@@ -80,6 +80,14 @@ class TestDecideModel:
         with pytest.raises(ModelValidationError, match="unknown options"):
             _decide(options={"warp_speed": 9})
 
+    @pytest.mark.parametrize(
+        "options", [{"workers": 2}, {"incremental": False}, {"incremental": "off"}]
+    )
+    def test_removed_options_raise(self, options):
+        (name,) = options
+        with pytest.raises(ModelValidationError, match=f"unknown options: {name}"):
+            _decide(options=options)
+
     def test_timeout_cap(self):
         _decide(options={"timeout_ms": MAX_TIMEOUT_MS})
         with pytest.raises(ModelValidationError, match="timeout_ms"):

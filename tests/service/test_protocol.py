@@ -36,7 +36,7 @@ class TestParseRequest:
                     "schema": {"cis": [["A", "B"]]},
                     "method": "direct",
                     "priority": -2,
-                    "options": {"workers": 2, "incremental": True, "max_nodes": 6},
+                    "options": {"max_nodes": 6, "timeout_ms": 50},
                 }
             ),
             seq=1,
@@ -75,6 +75,17 @@ class TestParseRequest:
         with pytest.raises(ProtocolError):
             parse_request(line, seq=1)
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"workers": 2}, {"workers": 1}, {"incremental": False},
+         {"incremental": "off"}, {"incremental": None}],
+    )
+    def test_removed_options_are_unknown(self, options):
+        (name,) = options
+        line = json.dumps({"lhs": "A(x)", "rhs": "B(x)", "options": options})
+        with pytest.raises(ProtocolError, match=f"unknown options: {name}"):
+            parse_request(line, seq=1)
+
 
     @pytest.mark.parametrize("name", ["max_word_length", "max_expansions"])
     @pytest.mark.parametrize("value", [[1], -3, True, 2.9, "4", None])
@@ -98,21 +109,14 @@ class TestBuildOptions:
             {
                 "max_word_length": 3,
                 "max_expansions": 50,
-                "workers": 2,
-                "incremental": False,
                 "max_nodes": 7,
                 "max_steps": 999,
             }
         )
         assert options.max_word_length == 3
         assert options.max_expansions == 50
-        assert options.workers == 2
-        assert options.incremental is False
         assert options.limits.max_nodes == 7
         assert options.limits.max_steps == 999
-
-    def test_null_incremental_keeps_default(self):
-        assert build_options({"incremental": None}).incremental is None
 
 
 class TestResponses:

@@ -53,7 +53,7 @@ class TestBudgetValidation:
 
 # one server for the whole fuzz run: survival across many hostile lines is
 # exactly the property under test
-_FUZZ_SERVER = ContainmentServer(use_cache=False, pool_reuse=False)
+_FUZZ_SERVER = ContainmentServer(use_cache=False)
 
 
 def _survives(line: str):

@@ -29,9 +29,7 @@ def _pipe(server, requests):
 
 
 def _server(tmp_path=None):
-    return ContainmentServer(
-        cache_dir=tmp_path, use_cache=tmp_path is not None, pool_reuse=False
-    )
+    return ContainmentServer(cache_dir=tmp_path, use_cache=tmp_path is not None)
 
 
 class TestPipeMode:

@@ -10,7 +10,7 @@ from repro.service.server import ContainmentServer
 
 
 def _server():
-    return ContainmentServer(use_cache=False, pool_reuse=False)
+    return ContainmentServer(use_cache=False)
 
 
 def _talk(path, requests):

@@ -77,33 +77,27 @@ class TestCommands:
 
 
 class TestContainFlags:
-    LHS, RHS = "Customer(x), owns(x,y)", "owns(x,y), CredCard(y)"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["contain", "A(x)", "B(x)", "--workers", "2"],
+            ["contain", "A(x)", "B(x)", "--incremental", "on"],
+            ["explain", "A(x)", "B(x)", "--workers", "2"],
+            ["batch", "requests.jsonl", "--workers", "2"],
+            ["serve", "--workers", "2"],
+        ],
+        ids=["contain-workers", "contain-incremental", "explain-workers",
+             "batch-workers", "serve-workers"],
+    )
+    def test_removed_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def _contain(self, schema_file, capsys, *flags):
-        rc = main(["contain", self.LHS, self.RHS, "--schema", schema_file, *flags])
-        return rc, capsys.readouterr().out
-
-    def test_incremental_on_off_agree(self, schema_file, capsys):
-        rc_on, out_on = self._contain(schema_file, capsys, "--incremental", "on")
-        rc_off, out_off = self._contain(schema_file, capsys, "--incremental", "off")
-        assert rc_on == rc_off == 0
-        assert out_on == out_off
-
-    def test_incremental_rejects_bad_value(self, schema_file):
-        with pytest.raises(SystemExit):
-            main(["contain", self.LHS, self.RHS, "--schema", schema_file,
-                  "--incremental", "maybe"])
-
-    def test_workers_verdict_identical_to_serial(self, schema_file, capsys):
-        rc_serial, out_serial = self._contain(schema_file, capsys, "--workers", "1")
-        rc_pool, out_pool = self._contain(schema_file, capsys, "--workers", "2")
-        assert rc_serial == rc_pool == 0
-        assert out_serial == out_pool
-
-    def test_workers_auto_accepted(self, capsys):
-        rc = main(["contain", "owns(x,y)", "CredCard(y)", "--workers", "auto"])
-        assert rc == 1
-        assert "NOT CONTAINED" in capsys.readouterr().out
+    def test_preset_conflicts_with_queries(self):
+        with pytest.raises(SystemExit, match="preset"):
+            main(["contain", "A(x)", "--preset", "example11"])
 
 
 class TestTraceAndExplain:
