@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.automata.product import witness_path
-from repro.core.baseline import expansions
+from repro.core.baseline import enumeration_exhausted, expansions
 from repro.core.search import CountermodelSearch, SearchLimits
 from repro.dl.normalize import NormalizedTBox
 from repro.graphs.graph import Graph, Node
@@ -140,6 +140,7 @@ def _sparse_decision(
     deadline = limits.deadline
     seeds = 0
     cut = False
+    refuted = True
     for expansion in expansions(lhs, max_word_length, max_expansions):
         if deadline is not None and deadline.expired():
             cut = True
@@ -161,17 +162,21 @@ def _sparse_decision(
         if outcome.deadline_expired:
             cut = True
             break
+        # a chase stopped by its step budget refuted nothing
+        refuted = refuted and outcome.exhausted
     if cut:
         REGISTRY.inc("sparse.deadline_cut")
+    # Theorem 3.1 bounds a countermodel's shape, not its path lengths, so
+    # the sweep certifies containment only when it saw every candidate:
+    # every lhs language fully enumerated within ``max_word_length``, the
+    # expansion budget not reached, and every seed's search exhausted
     complete = (
-        not cut and seeds < max_expansions and max_word_length >= _expansion_bound_hint(lhs)
+        not cut
+        and refuted
+        and seeds < max_expansions
+        and all(
+            enumeration_exhausted(atom.compiled, max_word_length)
+            for atom in lhs.path_atoms
+        )
     )
     return SparseSearchResult(True, complete, None, seeds)
-
-
-def _expansion_bound_hint(query: CRPQ) -> int:
-    """A heuristic word-length bound beyond which longer expansions are
-    unlikely to behave differently (NOT the theoretical worst case, which is
-    doubly exponential — see DESIGN.md §4)."""
-    states = sum(len(a.compiled.automaton.states) for a in query.path_atoms)
-    return states + 1

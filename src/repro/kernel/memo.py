@@ -63,12 +63,6 @@ class BoundedMemo:
                 self.evictions += 1
             self._data[key] = value
 
-    def discard(self, key: Hashable) -> bool:
-        """Drop one entry if present (the service's audit-eviction path);
-        returns whether anything was removed."""
-        with self._lock:
-            return self._data.pop(key, None) is not None
-
     def stats(self) -> dict[str, int]:
         """A consistent snapshot of the hit/miss/eviction counters."""
         with self._lock:

@@ -9,10 +9,15 @@ the counterweight, three checks of increasing reach:
 ``contained: false`` verdict carries its own proof: the countermodel.
 Re-verifying it is *evaluation*, not search — the PR 2 compiled matchers
 decide ``model ⊨ lhs``, ``model ⊭ rhs`` and the TBox decides
-``model ⊨ T`` in microseconds.  The scheduler gates every False verdict it
-is about to serve (journal hits, dedup hits, fresh computations) on this
-check; a failure quarantines the record and falls back to a fresh
-decision, so a corrupted or stale witness can never reach a client.
+``model ⊨ T`` in microseconds.  The scheduler gates every False verdict
+on this check once, when it enters the dedup memo (a fresh computation,
+or the first read of a journal entry); a failure quarantines the record
+and falls back to a fresh decision, so a corrupted or stale witness can
+never reach a client.  Dedup hits are not re-checked: the decision key
+covers both queries, the schema's content key, the method and every
+budget; this check is a deterministic function of (verdict, lhs, rhs, T);
+and the memo holds the audited verdict as frozen JSON text that cannot
+change in place — so a re-check could only repeat its first answer.
 
 **A/B backend oracle** (:meth:`VerdictAuditor.ab_verdict`).  True verdicts
 have no finite witness, but the repo ships two independent kernels that

@@ -63,7 +63,12 @@ _METHODS = ("auto", "baseline", "sparse", "reduction", "direct")
 
 
 class ProtocolError(ValueError):
-    """A malformed request line (bad JSON, unknown type, missing fields)."""
+    """A malformed request line (bad JSON, unknown type, missing fields).
+
+    ``request_id`` is the ``id`` of the offending JSON object when the
+    line parsed to one, so the error response can still name it."""
+
+    request_id: Any = None
 
 
 @dataclass
@@ -122,6 +127,14 @@ def parse_request(line: str, seq: int) -> Request:
         raise ProtocolError(f"bad JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ProtocolError("request must be a JSON object")
+    try:
+        return _request_from(data, seq)
+    except ProtocolError as exc:
+        exc.request_id = data.get("id")
+        raise
+
+
+def _request_from(data: dict, seq: int) -> Request:
     rtype = data.get("type", "decide")
     if rtype not in REQUEST_TYPES:
         raise ProtocolError(f"unknown request type {rtype!r}")

@@ -36,18 +36,26 @@ matcher memos are keyed by query identity, so a fresh parse per request
 would miss them.  Parse errors are never stored.
 
 When an auditor is attached (:class:`repro.resilience.audit.VerdictAuditor`,
-the service default), every False verdict about to be served from the
-dedup memo, the persistent journal, or a fresh computation first has its
-countermodel re-verified by the compiled matchers.  A failed journal entry
-is quarantined and the request falls through to a fresh decision; a failed
-*computed* verdict triggers one re-decide on the reference configuration
-(bitset kernel, caches bypassed), and only if *that* also fails
-does the request answer with a structured error.  Semantic hits need no
-serve-time gate: the lattice replays countermodels against the new lhs at
-lookup time, which *is* the audit.  A deterministic 1-in-N sample of
-freshly computed complete verdicts is additionally re-decided on the
-mirror kernel backend (bitset↔vec); on a mismatch the reference answer is
-the one served and stored.
+the service default), a False verdict's countermodel is re-verified by the
+compiled matchers when the verdict *enters* the dedup memo: when it is
+freshly computed, or on its first read from the persistent journal.  A
+failed journal entry is quarantined and the request falls through to a
+fresh decision; a failed *computed* verdict triggers one re-decide on the
+reference configuration (bitset kernel, caches bypassed), and only if
+*that* also fails does the request answer with a structured error.  A
+deterministic 1-in-N sample of freshly computed complete verdicts is
+additionally re-decided on the mirror kernel backend (bitset↔vec); on a
+mismatch the reference answer is the one served and stored.
+
+The memo holds each audited verdict as frozen canonical JSON text, and
+every response carries a freshly decoded copy, so no stored object is
+reachable from a response.  A dedup hit is therefore served without a
+second audit: the decision key covers both queries, the schema's content
+key, the method and every budget; the audit is a deterministic function of
+(verdict, lhs, rhs, T); and the memo's text cannot change in place — so a
+re-check could only repeat the answer it gave when the verdict entered.
+Semantic hits need no serve-time gate either: the lattice replays
+countermodels against the new lhs at lookup time, which *is* the audit.
 
 Resolution is fail-soft: transient infrastructure failures (an OS error,
 an injected fault) are retried with capped exponential
@@ -63,6 +71,7 @@ persistent journal, which only ever hold deterministic results.
 from __future__ import annotations
 
 import heapq
+import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -148,11 +157,13 @@ class DecisionScheduler:
         """Server-level switch for the per-session semantic lattices; a
         request can additionally opt out via ``options.semantic_cache``."""
         self.auditor = auditor
-        """Optional integrity auditor gating every served False verdict
-        (and A/B-sampling computed ones); ``None`` disables auditing."""
+        """Optional integrity auditor gating every False verdict that
+        enters the dedup memo (and A/B-sampling computed ones); ``None``
+        disables auditing."""
         self._queue: list[_Item] = []
         self._results = BoundedMemo(max_entries=8192, name="service.results")
-        """Lifetime verdict-dict memo keyed by decision key (dedup source)."""
+        """Lifetime memo keyed by decision key (dedup source): each value
+        is an audited verdict frozen as canonical JSON text."""
         self._queries = BoundedMemo(max_entries=QUERY_INTERN_MAX, name="service.queries")
         """Query text → parsed :class:`UCRPQ` intern table."""
 
@@ -273,20 +284,16 @@ class DecisionScheduler:
                 time.sleep(min(1.0, self.retry_backoff_s * (2 ** (attempt - 1))))
 
     def _verdict_for(self, item: _Item) -> tuple[dict, str]:
-        cached = self._results.get(item.key)
-        if cached is not None:
-            if self._audit_gate(item, cached, "dedup"):
-                self.metrics.count("dedup_collapses")
-                return cached, "dedup"
-            # a memo entry that no longer proves itself is evicted and the
-            # request falls through to the layers below
-            self._results.discard(item.key)
+        frozen = self._results.get(item.key)
+        if frozen is not None:
+            # audited when it entered the memo; the text cannot have changed
+            self.metrics.count("dedup_collapses")
+            return json.loads(frozen), "dedup"
         if self.cache is not None:
             stored = self.cache.get(item.key)
             if stored is not None:
-                if self._audit_gate(item, stored, "cache"):
-                    self._results.put(item.key, stored)
-                    return stored, "cache"
+                if self._audit_gate(item, stored):
+                    return self._remember(item.key, stored), "cache"
                 self.cache.quarantine_entry(item.key, "audit.countermodel")
         semantic = self._semantic_lookup(item)
         if semantic is not None:
@@ -320,23 +327,31 @@ class DecisionScheduler:
             self.metrics.count("timeouts")
             return verdict, "computed"
         verdict = self._audit_computed(item, verdict)
-        self._results.put(item.key, verdict)
+        served = self._remember(item.key, verdict)
         if self.cache is not None:
             self.cache.put(item.key, verdict)
         self._semantic_insert(item, verdict)
-        return verdict, "computed"
+        return served, "computed"
+
+    def _remember(self, key: tuple, verdict: dict) -> dict:
+        """Freeze an audited verdict into the dedup memo as canonical JSON
+        text and return a fresh copy of it to serve.  Verdict dicts are
+        JSON-native, so the copy equals ``verdict``."""
+        frozen = json.dumps(verdict, sort_keys=True, separators=(",", ":"))
+        self._results.put(key, frozen)
+        return json.loads(frozen)
 
     # ------------------------------------------------------------- #
     # integrity audit
 
-    def _audit_gate(self, item: _Item, verdict: dict, source: str) -> bool:
-        """Witness check for a verdict about to be served from a cache
-        layer; True when safe (or no auditor is attached)."""
+    def _audit_gate(self, item: _Item, verdict: dict) -> bool:
+        """Witness check for a journal verdict about to enter the dedup
+        memo; True when safe (or no auditor is attached)."""
         if self.auditor is None:
             return True
         tbox = item.session.tbox if item.session is not None else None
         return self.auditor.check_false(
-            verdict, item.lhs, item.rhs, tbox, source=source
+            verdict, item.lhs, item.rhs, tbox, source="cache"
         )
 
     def _audit_computed(self, item: _Item, verdict: dict) -> dict:

@@ -131,7 +131,7 @@ class ContainmentServer:
             request = parse_request(line, seq)
         except ProtocolError as exc:
             self.metrics.count("errors")
-            return [error_response(None, str(exc))], False
+            return [error_response(exc.request_id, str(exc))], False
         try:
             return self._dispatch(request)
         except Exception as exc:

@@ -1,4 +1,4 @@
-"""Shared test plumbing: a per-test wall-clock cap.
+"""Shared test plumbing: a per-test wall-clock cap and seeded hypothesis.
 
 Tier-1 must never hang — a deadlocked pool or an unbounded fixpoint should
 fail the one test, loudly, instead of wedging CI.  When the ``pytest-timeout``
@@ -9,6 +9,10 @@ each test's call phase, raising ``Failed`` when the budget is gone.
 The fallback is a no-op on platforms without ``SIGALRM`` and in worker
 threads (the alarm only fires in the main thread); both are fine for the
 Linux CI this repo targets.
+
+Hypothesis runs under a derandomized profile: each property test draws
+the same examples on every run (seeded from the test itself, no example
+database), so a run's outcome and wall time do not swing with the draw.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ try:  # pragma: no cover - depends on the environment
     import pytest_timeout  # noqa: F401
 
     _HAVE_PYTEST_TIMEOUT = True
+except ImportError:
+    pass
+
+try:  # pragma: no cover - depends on the environment
+    from hypothesis import settings
+
+    settings.register_profile("seeded", derandomize=True, database=None)
+    settings.load_profile("seeded")
 except ImportError:
     pass
 

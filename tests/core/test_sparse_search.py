@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.containment import ContainmentOptions, is_contained
+from repro.core.search import SearchLimits
 from repro.core.sparse_search import contained_without_participation, sparsify
 from repro.dl.normalize import normalize
 from repro.dl.tbox import TBox
@@ -50,6 +52,8 @@ class TestNoParticipationContainment:
         rhs = parse_query("r(x,y), B(y)")
         result = contained_without_participation(lhs, rhs, tbox)
         assert result.contained
+        # a finite lhs language, fully enumerated: the True is certain
+        assert result.complete
 
     def test_without_schema_not_contained(self):
         tbox = normalize(TBox.empty())
@@ -88,3 +92,50 @@ class TestNoParticipationContainment:
         result = contained_without_participation(lhs, rhs, tbox)
         assert not result.contained
         assert is_sparse(result.countermodel, lhs.size() + 1)
+
+
+# ∀-chain schema whose countermodel needs an r-path of 6 nodes (A, L1…L4, E)
+FORALL_CHAIN = TBox.of([
+    ("A", "forall r.L1"), ("L1", "forall r.L2"),
+    ("L2", "forall r.L3"), ("L3", "forall r.L4"),
+])
+FORALL_CHAIN_LHS = "A(x), (r*)(x,y), E(y)"
+FORALL_CHAIN_RHS = "A(y), E(y); L1(y), E(y); L2(y), E(y); L3(y), E(y); L4(y), E(y)"
+
+STEP_CUT_SCHEMA = TBox.of([("A", "B"), ("B", "forall r.D")])
+
+
+class TestCertainTrueNeedsCertificate:
+    """A sparse True is complete only when the sweep saw every candidate."""
+
+    def test_unbounded_lhs_true_is_incomplete(self):
+        result = is_contained(FORALL_CHAIN_LHS, FORALL_CHAIN_RHS, FORALL_CHAIN)
+        assert result.method == "sparse"
+        assert result.contained is True
+        assert result.complete is False
+        # the True was wrong: longer words reach the 6-node countermodel
+        longer = is_contained(
+            FORALL_CHAIN_LHS, FORALL_CHAIN_RHS, FORALL_CHAIN,
+            options=ContainmentOptions(max_word_length=6),
+        )
+        assert longer.contained is False and longer.complete is True
+        assert FORALL_CHAIN.satisfied_by(longer.countermodel)
+
+    def test_step_budget_cut_refutes_nothing(self):
+        limited = is_contained(
+            "A(x), r(x,y)", "C(y)", STEP_CUT_SCHEMA,
+            options=ContainmentOptions(limits=SearchLimits(max_steps=3)),
+        )
+        assert limited.method == "sparse"
+        assert limited.contained is True
+        assert limited.complete is False
+        # with the default budget the chase finishes and finds the witness
+        assert is_contained("A(x), r(x,y)", "C(y)", STEP_CUT_SCHEMA).contained is False
+
+    def test_expansion_budget_reached_is_incomplete(self):
+        tbox = normalize(TBox.of([("A", "forall r.B")]))
+        result = contained_without_participation(
+            parse_crpq("A(x), r(x,y)"), parse_query("r(x,y), B(y)"), tbox,
+            max_expansions=1,
+        )
+        assert result.contained and not result.complete

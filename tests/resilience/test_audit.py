@@ -230,6 +230,13 @@ def test_tampered_cache_entry_is_quarantined_and_recomputed(tmp_path):
         for line in (tmp_path / "quarantine.jsonl").read_text().splitlines()
     ]
     assert any(q["reason"] == "audit.countermodel" for q in quarantined)
+    # the recomputed verdict entered the dedup memo: a repeat in the same
+    # process is served from it
+    repeat = dict(request, id="r2")
+    responses2, _stop = server2.handle_line(json.dumps(repeat), server2.new_stream())
+    responses2.extend(server2.scheduler.drain())
+    assert responses2[0]["source"] == "dedup"
+    assert responses2[0]["verdict"] == verdict2["verdict"]
     # and a third server never sees the bad entry again
     _server3, responses3 = run_server(tmp_path, request)
     assert responses3[0]["verdict"]["contained"] is False

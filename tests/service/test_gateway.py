@@ -254,6 +254,24 @@ def test_invalid_decide_answers_error_and_keeps_connection():
     run(scenario())
 
 
+def test_unknown_option_error_keeps_the_request_id():
+    async def scenario():
+        gateway, port = await tcp_gateway()
+        try:
+            client = await Client.tcp(port)
+            error = await client.ask({
+                "id": "x", "lhs": "A(x)", "rhs": "B(x)", "options": {"workers": 2},
+            })
+            assert error == {
+                "type": "error", "id": "x", "error": "unknown options: workers",
+            }
+            await client.close()
+        finally:
+            await gateway.stop()
+
+    run(scenario())
+
+
 def test_unknown_schema_ref_is_a_structured_error():
     async def scenario():
         gateway, port = await tcp_gateway()

@@ -1,13 +1,20 @@
 """The decision scheduler: dedup, priority execution, deterministic output."""
 
+import copy
 import json
 
 import pytest
 
-from repro.core.containment import ContainmentOptions, decision_key, is_contained
+from repro.core.containment import (
+    ContainmentOptions,
+    ContainmentResult,
+    decision_key,
+    is_contained,
+)
 from repro.core.reduction import query_key
 from repro.dl.pg_schema import figure1_schema
 from repro.dl.tbox import TBox
+from repro.graphs.graph import Graph
 from repro.io import query_to_text, tbox_to_dict, verdict_to_dict
 from repro.obs import REGISTRY
 from repro.queries.parser import parse_query
@@ -195,38 +202,71 @@ class TestInterning:
             assert decision_key(interned, interned) == decision_key(text, text)
 
 
-class TestAuditGatesDedup:
-    def test_corrupt_memo_entry_fails_audit_and_is_recomputed(self):
+class TestAuditAtMemoEntry:
+    """A verdict is audited once, when it enters the dedup memo; the memo
+    holds it as frozen text, so repeats are served without a re-check."""
+
+    @staticmethod
+    def _audited(**kwargs):
         metrics = ServiceMetrics()
         scheduler = DecisionScheduler(
             metrics=metrics,
             auditor=VerdictAuditor(metrics, ab_sample_every=0),
             semantic_cache=False,
+            **kwargs,
         )
+        return metrics, scheduler
+
+    def test_mutated_served_verdict_cannot_reach_the_memo(self):
+        metrics, scheduler = self._audited()
         schema = tbox_to_dict(figure1_schema())
         scheduler.submit(_decide(1, lhs="Company(x)", rhs="CredCard(x)", schema=schema))
         (served,) = scheduler.drain()
         assert served["source"] == "computed"
-        held = served["verdict"]  # the very dict the dedup memo serves
-        assert held["contained"] is False
-        # poison the witness in place with a disjointness violation (Figure 1
-        # declares Customer and Company disjoint): it still matches the lhs
-        # and avoids the rhs, so only the schema leg of the audit catches it
-        for node, labels in held["countermodel"]["nodes"].items():
+        first = copy.deepcopy(served["verdict"])
+        assert first["contained"] is False
+        # poison the served witness in place with a disjointness violation
+        # (Figure 1 declares Customer and Company disjoint)
+        nodes = served["verdict"]["countermodel"]["nodes"]
+        for node, labels in nodes.items():
             if "Company" in labels:
-                held["countermodel"]["nodes"][node] = list(labels) + ["Customer"]
-        before = REGISTRY.get("audit.false.fail.source.dedup")
+                nodes[node] = list(labels) + ["Customer"]
+        assert served["verdict"] != first
+        audit_before = REGISTRY.snapshot_prefixed("audit.false.")
 
         scheduler.submit(_decide(2, lhs="Company(x)", rhs="CredCard(x)", schema=schema))
         (again,) = scheduler.drain()
-        assert REGISTRY.get("audit.false.fail.source.dedup") == before + 1
-        assert again["source"] == "computed"
-        assert again["verdict"] is not held
-        assert again["verdict"]["countermodel"] != held["countermodel"]
-        assert metrics.counter("decisions_executed") == 2
+        assert again["source"] == "dedup"
+        assert again["verdict"] == first
+        assert metrics.counter("decisions_executed") == 1
+        # the dedup hit ran no witness check
+        assert REGISTRY.snapshot_prefixed("audit.false.") == audit_before
 
-        # the evicted entry was replaced by the recomputed, sound verdict
-        scheduler.submit(_decide(3, lhs="Company(x)", rhs="CredCard(x)", schema=schema))
-        (third,) = scheduler.drain()
-        assert third["source"] == "dedup"
-        assert third["verdict"] == again["verdict"]
+    def test_computed_verdict_failing_its_audit_is_never_stored(
+        self, tmp_path, monkeypatch
+    ):
+        # an engine bug: the "countermodel" matches the rhs, on the first
+        # decision and on the reference re-decide alike
+        bogus = Graph()
+        bogus.add_node("n", ["A", "B"])
+
+        def broken(lhs, rhs, tbox, method="auto", options=None):
+            return ContainmentResult(
+                contained=False, complete=True, method="direct", countermodel=bogus
+            )
+
+        monkeypatch.setattr(scheduler_module, "is_contained", broken)
+        cache = DecisionCache(tmp_path)
+        _metrics, scheduler = self._audited(cache=cache)
+        request = _decide(1, lhs="A(x)", rhs="B(x)")
+        key = scheduler._validate(request).key
+        redecides = REGISTRY.get("audit.reference.redecides")
+
+        scheduler.submit(request)
+        (answer,) = scheduler.drain()
+        assert answer["type"] == "error"
+        assert "audit failed" in answer["error"]
+        assert REGISTRY.get("audit.reference.redecides") == redecides + 1
+        assert key not in scheduler._results
+        assert cache.get(key) is None
+        assert not (tmp_path / "decisions.jsonl").exists()

@@ -80,6 +80,32 @@ class TestPipeMode:
         assert responses[1]["type"] == "verdict" and responses[1]["id"] == "ok"
         assert server.metrics.counter("errors") == 1
 
+    def test_validation_error_keeps_the_request_id(self):
+        responses = _pipe(_server(), [
+            {"id": "x", "lhs": "A(x)", "rhs": "B(x)", "options": {"workers": 2}},
+        ])
+        assert responses == [
+            {"type": "error", "id": "x", "error": "unknown options: workers"}
+        ]
+
+    def test_uncertified_sparse_trues_answer_incomplete(self):
+        forall_chain = TBox.of([
+            ("A", "forall r.L1"), ("L1", "forall r.L2"),
+            ("L2", "forall r.L3"), ("L3", "forall r.L4"),
+        ])
+        step_cut = TBox.of([("A", "B"), ("B", "forall r.D")])
+        responses = _pipe(_server(), [
+            {"id": "chain", "lhs": "A(x), (r*)(x,y), E(y)",
+             "rhs": "A(y), E(y); L1(y), E(y); L2(y), E(y); L3(y), E(y); L4(y), E(y)",
+             "schema": tbox_to_dict(forall_chain)},
+            {"id": "steps", "lhs": "A(x), r(x,y)", "rhs": "C(y)",
+             "schema": tbox_to_dict(step_cut), "options": {"max_steps": 3}},
+        ])
+        for response in responses:
+            verdict = response["verdict"]
+            assert verdict["method"] == "sparse"
+            assert (verdict["contained"], verdict["complete"]) == (True, False)
+
     def test_stats_surface(self, tmp_path):
         responses = _pipe(_server(tmp_path), [
             {"type": "decide", "id": "a", "lhs": "owns(x,y)", "rhs": "CredCard(y)"},
