@@ -19,6 +19,9 @@ from repro.graphs.labels import NodeLabel, node_label
 class Type(frozenset):
     """A consistent subset of Γ± (a ``frozenset`` of :class:`NodeLabel`).
 
+    Consistency is checked on names: construction raises ``ValueError``
+    when a complemented literal's name is also among the positive names.
+
     >>> t = Type.of("A", "!B")
     >>> t.is_maximal_over({"A", "B"})
     True
@@ -26,10 +29,12 @@ class Type(frozenset):
 
     def __new__(cls, labels: Iterable[Union[str, NodeLabel]] = ()) -> "Type":
         parsed = frozenset(node_label(lbl) for lbl in labels)
-        names = {lbl.name for lbl in parsed}
-        for name in names:
-            if NodeLabel(name) in parsed and NodeLabel(name, True) in parsed:
-                raise ValueError(f"inconsistent type: contains both {name} and !{name}")
+        positive = {lbl.name for lbl in parsed if not lbl.negated}
+        for lbl in parsed:
+            if lbl.negated and lbl.name in positive:
+                raise ValueError(
+                    f"inconsistent type: contains both {lbl.name} and !{lbl.name}"
+                )
         return super().__new__(cls, parsed)
 
     @staticmethod
@@ -83,11 +88,10 @@ class Type(frozenset):
 
 def type_of(graph: Graph, node: Node, names: Iterable[str]) -> Type:
     """The maximal type of ``node`` over the label names ``names``."""
-    literals = []
-    for name in names:
-        negated = not graph.has_label(node, name)
-        literals.append(NodeLabel(name, negated))
-    return Type(literals)
+    return Type(
+        node_label(name if graph.has_label(node, name) else "!" + name)
+        for name in names
+    )
 
 
 def maximal_types(names: Iterable[str]) -> Iterator[Type]:
