@@ -1,10 +1,11 @@
 """E25 — verdict integrity under bitflip + SIGKILL chaos.
 
 PR 10 added three safety layers on top of the service stack: a serve-time
-verdict auditor (countermodel re-verification + sampled A/B backend
-oracle), CRC32-checksummed journal persistence with quarantine, and a
-per-shard health ladder (``healthy → degraded → quarantined`` with
-half-open recovery probes).  This benchmark proves the three claims the
+verdict auditor (countermodel re-verification + a sampled A/B re-decide
+with every cache bypassed), CRC32-checksummed journal persistence with
+quarantine, and a per-shard health ladder (``healthy → degraded →
+quarantined`` with half-open recovery probes; the one degraded rung turns
+the semantic cache off).  This benchmark proves the three claims the
 design makes about them, end to end:
 
 * **the audit is nearly free on the clean path** — on a sequential

@@ -99,15 +99,11 @@ def _decision_inputs(args: argparse.Namespace):
         tbox = load_schema(args.schema) if args.schema else None
     options = None
     timeout_ms = getattr(args, "timeout_ms", None)
-    backend = getattr(args, "backend", None)
-    if timeout_ms is not None or backend is not None:
+    if timeout_ms is not None:
         from repro.core.containment import ContainmentOptions
         from repro.resilience import Deadline
 
-        options = ContainmentOptions(
-            deadline=None if timeout_ms is None else Deadline.after_ms(timeout_ms),
-            backend=backend or "auto",
-        )
+        options = ContainmentOptions(deadline=Deadline.after_ms(timeout_ms))
     return lhs, rhs, tbox, options
 
 
@@ -198,7 +194,6 @@ def _build_server(args: argparse.Namespace):
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         default_timeout_ms=args.timeout_ms,
-        backend=args.backend,
         semantic_cache=args.semantic_cache != "off",
         audit=args.audit != "off",
     )
@@ -347,7 +342,6 @@ def _serve_gateway(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         default_timeout_ms=args.timeout_ms,
-        backend=args.backend,
         semantic_cache=args.semantic_cache != "off",
         audit=args.audit != "off",
     )
@@ -434,11 +428,6 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         "incomplete verdict instead of blocking the batch",
     )
     parser.add_argument(
-        "--backend", default=None, choices=["auto", "bitset", "vec"],
-        help="default kernel backend for requests without their own "
-        "options.backend; verdicts are bit-identical either way",
-    )
-    parser.add_argument(
         "--semantic-cache", default="on", choices=["on", "off"],
         dest="semantic_cache",
         help="answer near-duplicate requests by inference over the "
@@ -448,8 +437,9 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--audit", default="on", choices=["on", "off"],
         help="verdict integrity audit: re-verify every False verdict's "
-        "countermodel before serving it and A/B-sample True verdicts on "
-        "the mirror kernel backend (default: on; ~free on the clean path)",
+        "countermodel before serving it and re-decide a sample of complete "
+        "verdicts with every cache bypassed (default: on; ~free on the "
+        "clean path)",
     )
 
 
@@ -466,11 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     contain.add_argument(
         "--method", default="auto",
         choices=["auto", "baseline", "sparse", "reduction", "direct"],
-    )
-    contain.add_argument(
-        "--backend", default=None, choices=["auto", "bitset", "vec"],
-        help="kernel backend for type-table passes ('vec' needs numpy; "
-        "verdicts are bit-identical either way)",
     )
     contain.add_argument(
         "--timeout-ms", default=None, type=int, metavar="MS", dest="timeout_ms",
@@ -499,10 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--method", default="auto",
         choices=["auto", "baseline", "sparse", "reduction", "direct"],
-    )
-    explain.add_argument(
-        "--backend", default=None, choices=["auto", "bitset", "vec"],
-        help="kernel backend for type-table passes ('vec' needs numpy)",
     )
     explain.add_argument(
         "--timeout-ms", default=None, type=int, metavar="MS", dest="timeout_ms",

@@ -64,22 +64,13 @@ class ContainmentOptions:
     caches: a decision actually cut short by its deadline reports
     ``deadline_expired=True`` and is never stored, so caches only ever hold
     deterministic, budget-exact results."""
-    backend: str = "auto"
-    """Kernel backend for type-table passes: ``"auto"`` (bit-matrix kernel
-    when numpy is available and the table is large), ``"bitset"``, or
-    ``"vec"``.  Covers the oneway/twoway enumerations, the twoway connector
-    scan, and the batched fixpoint oracles end to end; a run that had to
-    downgrade records why under ``kernel.backend.fallback.<reason>``.
-    Deliberately *excluded* from decision keys, caches, and journal
-    identity — both backends produce bit-identical verdicts, countermodels,
-    and counters by construction (asserted by E21/E22)."""
     semantic_cache: bool = True
     """Let the service answer this request from the per-session semantic
     lattice (:mod:`repro.cache.semantic`) when a sound inference applies,
     instead of running a search.  Consulted by the service scheduler only —
     a plain :func:`is_contained` call ignores it.  Deliberately *excluded*
-    from decision keys, caches, and journal identity, like ``backend``:
-    the flag selects how an answer is obtained, never what it is."""
+    from decision keys, caches, and journal identity: the flag selects how
+    an answer is obtained, never what it is."""
 
 
 _DECISION_MEMO = BoundedMemo(max_entries=2048, name="decision")
@@ -103,8 +94,6 @@ def _limits_key(limits: SearchLimits) -> tuple:
 
 
 def _options_key(options: ContainmentOptions) -> tuple:
-    # NOTE: options.backend is intentionally NOT part of the key — backend
-    # choice never changes a decision's content
     red = options.reduction
     return (
         options.max_word_length,

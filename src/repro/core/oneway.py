@@ -48,8 +48,6 @@ from repro.graphs.graph import Graph, PointedGraph
 from repro.graphs.labels import NodeLabel
 from repro.graphs.types import Type, realized_types, type_of
 from repro.kernel.bitset import compiled_clauses_for, inert_partition
-from repro.kernel.vec import resolve_backend
-from repro.kernel.vec_fixpoint import OnewayVecTable
 from repro.obs import REGISTRY, span
 from repro.queries.evaluation import satisfies_union
 from repro.queries.factorization import Factorization, factorize
@@ -220,6 +218,8 @@ def _realizable_refuting_oneway(
             fresh_names=set(tbox.fresh_names),
             name=f"{tbox.name}_core",
         )
+    from repro.kernel.vec import resolve_backend
+
     chosen_backend = resolve_backend(backend, 2 ** len(work_gamma))
     if inert_scale == 0:
         # no consistent inert assignment: no consistent types at all
@@ -246,6 +246,8 @@ def _realizable_refuting_oneway(
     # integer order, so both backends seed the identical Ψ.
     vt = None
     if chosen_backend == "vec":
+        from repro.kernel.vec_fixpoint import OnewayVecTable
+
         vt = OnewayVecTable(work_tbox, work_gamma, DIRECTION_LABEL)
         psi = set(vt.types)
     else:

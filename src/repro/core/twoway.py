@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, product
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.entailment import realizable_type
 from repro.core.search import SearchLimits
@@ -44,15 +44,6 @@ from repro.dl.types import clause_consistent
 from repro.graphs.graph import Graph, single_node_graph
 from repro.graphs.labels import NodeLabel, Role
 from repro.graphs.types import Type
-from repro.kernel.vec import HAVE_NUMPY, resolve_backend
-from repro.kernel.vec_fixpoint import (
-    VEC_SCAN_MIN_CANDIDATES,
-    ConnectorVecScanner,
-    PsiMaskAnswer,
-    TwowayVecEnumerator,
-    connector_scan_supported,
-    vec_fallback_reason,
-)
 from repro.obs import REGISTRY, span
 from repro.queries.atoms import PathAtom
 from repro.queries.crpq import CRPQ
@@ -60,6 +51,15 @@ from repro.queries.evaluation import satisfies_union
 from repro.queries.factorization import Factorization, factorize
 from repro.queries.ucrpq import UCRPQ
 from repro.resilience.deadline import Deadline
+
+if TYPE_CHECKING:
+    from repro.kernel.vec_fixpoint import PsiMaskAnswer
+
+VEC_SCAN_MIN_CANDIDATES = 512
+"""Smallest connector pick space the vec scanner engages on.  Below this
+the column setup costs more than the scalar loop it replaces; the verdict
+and counters are identical either way, so the threshold is purely a
+performance knob."""
 
 
 class ProcedureInfeasible(RuntimeError):
@@ -277,9 +277,10 @@ def _connector_exists(
     candidate ordering does not re-render every type on every call.
 
     With ``backend="vec"`` large pick spaces run on the
-    :class:`ConnectorVecScanner` — same enumeration order, first-success
-    index, verdict, and examined-pick count as the scalar loop, with the
-    CI check and most query refutations answered by bulk column ops.
+    :class:`~repro.kernel.vec_fixpoint.ConnectorVecScanner` — same
+    enumeration order, first-success index, verdict, and examined-pick
+    count as the scalar loop, with the CI check and most query
+    refutations answered by bulk column ops.
     """
     memo_key = None
     if memo is not None:
@@ -333,23 +334,26 @@ def _connector_exists(
 
     if (
         backend == "vec"
-        and HAVE_NUMPY
         and total >= VEC_SCAN_MIN_CANDIDATES
         and not any(role.inverted for role in roles)
-        and connector_scan_supported(connectors_tbox)
     ):
-        scanner = ConnectorVecScanner(
-            center, [role for role, _filler in pairs], options, connectors_tbox
-        )
-        found = scanner.scan(
-            _positive_atom_names(refute),
-            lambda leaves: satisfies_union(_build_star(center, leaves), refute),
-            poll=poll,
-            counters=counters,
-        )
-        if memo is not None:
-            memo[memo_key] = found
-        return found
+        from repro.kernel import vec_fixpoint
+
+        if vec_fixpoint.HAVE_NUMPY and vec_fixpoint.connector_scan_supported(
+            connectors_tbox
+        ):
+            scanner = vec_fixpoint.ConnectorVecScanner(
+                center, [role for role, _filler in pairs], options, connectors_tbox
+            )
+            found = scanner.scan(
+                _positive_atom_names(refute),
+                lambda leaves: satisfies_union(_build_star(center, leaves), refute),
+                poll=poll,
+                counters=counters,
+            )
+            if memo is not None:
+                memo[memo_key] = found
+            return found
 
     centre_node = ("c", 0)
     found = False
@@ -453,6 +457,9 @@ def _resolve_with_reason(
     the candidate space cannot be vectorized — the reported backend and the
     ``kernel.backend.*`` counters must name the path that actually runs —
     and recording the downgrade reason on the obs registry."""
+    from repro.kernel.vec import resolve_backend
+    from repro.kernel.vec_fixpoint import vec_fallback_reason
+
     reason = vec_fallback_reason(free_names, counter_groups)
     if reason is not None and config.backend != "bitset":
         REGISTRY.inc(f"kernel.backend.fallback.{reason}")
@@ -541,6 +548,8 @@ def _p1_fixpoint(
     if chosen == "vec":
         # one bulk sweep per filter over the whole candidate space, yielding
         # the same types in the same enumeration order as the generator
+        from repro.kernel.vec_fixpoint import TwowayVecEnumerator
+
         enum = TwowayVecEnumerator(free_names, counter_groups)
         mask = enum.refines_any(thetas)
         mask &= enum.clause_mask(factor.components_tbox)
@@ -593,6 +602,8 @@ def _p1_fixpoint(
     config.memo[ctx_key] = (psi, chosen)
     answer = None
     if chosen == "vec" and psi:
+        from repro.kernel.vec_fixpoint import PsiMaskAnswer
+
         answer = PsiMaskAnswer(psi)
         config.answers[ctx_key] = answer
     return psi, answer
@@ -677,6 +688,8 @@ def _p2_fixpoint(
     if chosen == "vec":
         # the admissibility conjuncts as bulk masks: exactly one role label,
         # role r's zero-counters present, Θ-refinement, clause consistency
+        from repro.kernel.vec_fixpoint import TwowayVecEnumerator
+
         enum = TwowayVecEnumerator(free_names, counter_groups)
         role_cols = {r: enum.positive_column(role_labels[r].name) for r in sigma_t}
         count = sum(col.astype("uint8") for col in role_cols.values())
@@ -758,6 +771,8 @@ def _p2_fixpoint(
     config.memo[ctx_key] = psi
     answer = None
     if chosen == "vec" and psi:
+        from repro.kernel.vec_fixpoint import PsiMaskAnswer
+
         answer = PsiMaskAnswer(psi)
         config.answers[ctx_key] = answer
     return psi, answer

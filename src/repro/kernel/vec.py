@@ -89,7 +89,7 @@ def resolve_backend(
     materialize (:data:`VEC_MAX_ROWS`) — raises :class:`VecUnavailable`
     eagerly, at resolve time rather than mid-enumeration.  The chosen
     backend is counted on the obs registry (``kernel.backend.*``) so
-    explain reports and service metrics show which kernel actually ran.
+    explain reports show which kernel actually ran.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -319,7 +319,7 @@ class VecTypeTable:
 
 # --------------------------------------------------------------------- #
 # per-(TBox, signature) table cache — the vec analogue of the bitset
-# module's compiled-clause cache, shared by sessions and the procedures
+# module's compiled-clause cache, shared by the fixpoint procedures
 
 
 _TABLE_CACHE: dict[tuple, VecTypeTable] = {}

@@ -351,13 +351,6 @@ class PsiMaskAnswer:
 # connector scan
 
 
-VEC_SCAN_MIN_CANDIDATES = 512
-"""Smallest connector pick space the vec scanner engages on.  Below this
-the column setup costs more than the scalar loop it replaces; the verdict
-and counters are identical either way, so the threshold is purely a
-performance knob."""
-
-
 def connector_scan_supported(connectors_tbox: NormalizedTBox) -> bool:
     """Can the scanner evaluate this T_c's completion exactly by columns?
 

@@ -1,8 +1,8 @@
 """Verdict integrity auditing: prove answers before (and after) serving them.
 
 Every scale layer the service grew — persistent journal, semantic
-inference, vec backend, sharded gateway — is a new way to serve a wrong
-verdict if a component is buggy or a disk corrupts a line.  This module is
+inference, in-process memos, sharded gateway — is a new way to serve a
+wrong verdict if a component is buggy or a disk corrupts a line.  This module is
 the counterweight, three checks of increasing reach:
 
 **Serve-time witness check** (:meth:`VerdictAuditor.check_false`).  A
@@ -19,12 +19,12 @@ budget; this check is a deterministic function of (verdict, lhs, rhs, T);
 and the memo holds the audited verdict as frozen JSON text that cannot
 change in place — so a re-check could only repeat its first answer.
 
-**A/B backend oracle** (:meth:`VerdictAuditor.ab_verdict`).  True verdicts
-have no finite witness, but the repo ships two independent kernels that
-are bit-identical by construction (E21/E22).  A deterministic 1-in-N
-sample of freshly computed verdicts is re-decided on the *mirror* backend
-(bitset↔vec) with caches bypassed; a mismatch is counted, and the bitset
-(reference-oracle) answer is the one served and stored.
+**A/B re-decide** (:meth:`VerdictAuditor.ab_verdict`).  True verdicts
+have no finite witness.  A deterministic 1-in-N sample of freshly computed
+complete verdicts is re-decided with every cache bypassed and no deadline;
+a mismatch is counted, and the reference re-decide is the answer served
+and stored.  It runs the same decision procedure as the first answer, so
+it catches a stale or corrupted cache entry, not a wrong procedure.
 
 **Background scrubber** (:class:`JournalScrubber`).  Walks the decision
 and semantic journals the way a warm restart would — CRC + JSON + code
@@ -114,7 +114,7 @@ def verdict_shape_error(verdict: object) -> Optional[str]:
 
 
 class VerdictAuditor:
-    """Serve-time witness checks plus the sampled A/B backend oracle."""
+    """Serve-time witness checks plus the sampled A/B re-decide."""
 
     def __init__(
         self,
@@ -125,8 +125,8 @@ class VerdictAuditor:
         """Optional :class:`~repro.service.metrics.ServiceMetrics`-like
         sink (anything with ``count``); the obs registry is always fed."""
         self.ab_sample_every = ab_sample_every
-        """Re-decide every Nth freshly computed verdict on the mirror
-        backend; ``0`` disables the oracle."""
+        """Re-decide every Nth freshly computed complete verdict with every
+        cache bypassed; ``0`` disables the re-decide."""
         self.seconds = 0.0
         """Cumulative wall time spent inside witness checks and A/B
         re-decides — the audit's direct cost, attributable without the
@@ -156,10 +156,10 @@ class VerdictAuditor:
     ) -> bool:
         """True iff this verdict is safe to serve.
 
-        True verdicts pass trivially (no finite witness to check — the
-        A/B oracle covers them).  A False verdict must present a
-        countermodel that the compiled matchers accept: a T-model that
-        satisfies the left-hand side and avoids the right-hand side.
+        True verdicts pass trivially (no finite witness to check — only
+        the sampled A/B re-decide looks at them).  A False verdict must
+        present a countermodel that the compiled matchers accept: a T-model
+        that satisfies the left-hand side and avoids the right-hand side.
         """
         start = time.perf_counter()
         try:
@@ -210,7 +210,7 @@ class VerdictAuditor:
         )
 
     # ------------------------------------------------------------- #
-    # A/B backend oracle
+    # A/B re-decide
 
     def should_ab_sample(self) -> bool:
         """Deterministic 1-in-N gate over freshly computed verdicts."""
@@ -220,33 +220,18 @@ class VerdictAuditor:
             self._computed += 1
             return self._computed % self.ab_sample_every == 0
 
-    @staticmethod
-    def mirror_backend(resolved: Optional[str]) -> Optional[str]:
-        """The *other* kernel for an A/B re-decide, or ``None`` when no
-        mirror exists (vec not installed)."""
-        from repro.kernel.vec import HAVE_NUMPY
-
-        if resolved == "vec":
-            return "bitset"
-        return "vec" if HAVE_NUMPY else None
-
-    def ab_verdict(self, lhs, rhs, tbox, method: str, options) -> Optional[dict]:
-        """Re-decide on the mirror backend with caches bypassed and no
-        deadline; returns the mirror verdict dict, or ``None`` when there
-        is no mirror to run."""
+    def ab_verdict(self, lhs, rhs, tbox, method: str, options) -> dict:
+        """Re-decide with caches bypassed and no deadline; returns the
+        re-decided verdict dict."""
         from dataclasses import replace
 
         from repro.core.containment import is_contained
         from repro.io import verdict_to_dict
 
-        mirror = self.mirror_backend(getattr(options, "backend", None))
-        if mirror is None:
-            self._count("audit.ab.skipped")
-            return None
         start = time.perf_counter()
         try:
-            mirrored = replace(options, backend=mirror, deadline=None, use_cache=False)
-            result = is_contained(lhs, rhs, tbox, method=method, options=mirrored)
+            fresh = replace(options, deadline=None, use_cache=False)
+            result = is_contained(lhs, rhs, tbox, method=method, options=fresh)
         finally:
             self.seconds += time.perf_counter() - start
         self._count("audit.ab.checked")

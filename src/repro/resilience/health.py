@@ -5,30 +5,25 @@ signals — integrity-audit failures, worker losses (crash/respawn), and
 fault-site trips — into one of three states:
 
 ``healthy``
-    Full stack: semantic cache, auto backend (vec where profitable).
+    Full stack, semantic cache included.
 
 ``degraded``
-    The shard still answers, but the *riskiest* layers are progressively
-    disabled, one rung per sustained failure streak.  The ladder order is
-    the soundness argument: each rung removes a layer whose failure mode
-    is subtler than the one below it, and every rung still runs the full
-    decision procedure, so answers stay correct — only slower.
+    The shard still answers, but with the **semantic cache** dropped
+    (inference over cached premises — the only layer that *derives*
+    verdicts instead of computing them).  A sustained failure streak
+    climbs to this rung, and the full decision procedure still runs, so
+    answers stay correct — only slower.
 
-    1. drop the **semantic cache** (inference over cached premises — the
-       only layer that *derives* verdicts instead of computing them);
-    2. pin the **bitset backend** (the vec kernel is the A/B mirror; the
-       bitset kernel is the reference oracle).
-
-    Rung overrides only touch options that are excluded from decision
-    identity (``semantic_cache``, ``backend``), so a degraded shard's
-    verdicts are bit-identical to a healthy one's.
+    The rung's override only touches an option that is excluded from
+    decision identity (``semantic_cache``), so a degraded shard's verdicts
+    are bit-identical to a healthy one's.
 
 ``quarantined``
-    The ladder is exhausted (or the worker is unrecoverable): the shard
-    stops taking traffic, is drained, and is only re-admitted through a
-    circuit-breaker **half-open probe** — a cold respawn followed by a
-    self-test decision with a known answer.  Probe attempts back off
-    exponentially while the shard keeps failing.
+    A failure streak on the degraded rung exhausts the ladder (or the
+    worker is unrecoverable): the shard stops taking traffic, is drained,
+    and is only re-admitted through a circuit-breaker **half-open probe** —
+    a cold respawn followed by a self-test decision with a known answer.
+    Probe attempts back off exponentially while the shard keeps failing.
 
 The machine is deliberately synchronous and lock-free: the gateway drives
 it from a single event loop.  The clock is injectable so tests can walk
@@ -45,12 +40,8 @@ HEALTHY = "healthy"
 DEGRADED = "degraded"
 QUARANTINED = "quarantined"
 
-LADDER: tuple[dict, ...] = (
-    {},
-    {"semantic_cache": False},
-    {"semantic_cache": False, "backend": "bitset"},
-)
-"""Cumulative per-rung request-option overrides, riskiest layer first.
+LADDER: tuple[dict, ...] = ({}, {"semantic_cache": False})
+"""Per-rung request-option overrides.
 
 Every key is excluded from decision identity
 (:func:`repro.core.containment.decision_key`), so climbing the ladder can

@@ -1,15 +1,15 @@
 """Batched containment service: schema sessions, dedup, persistent cache.
 
-The library's decision procedures amortize beautifully — normalized TBoxes,
-bitset kernels, and memos are all keyed by stable content identities — but
+The library's decision procedures amortize beautifully — normalized TBoxes
+and memos are all keyed by stable content identities — but
 a cold ``is_contained`` call rebuilds everything and a process exit throws
 it away.  This package keeps that state alive across many decisions and
 many processes:
 
 * :mod:`repro.service.protocol` — the JSONL wire format (requests,
   responses, option whitelisting);
-* :mod:`repro.service.sessions` — schema sessions: one normalization +
-  kernel warm-up per distinct schema;
+* :mod:`repro.service.sessions` — schema sessions: one normalization per
+  distinct schema;
 * :mod:`repro.service.scheduler` — request dedup, priority/FIFO ordering,
   dispatch through :func:`repro.core.containment.is_contained`;
 * :mod:`repro.service.cache` — the persistent, fingerprint-versioned,

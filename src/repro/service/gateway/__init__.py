@@ -10,8 +10,8 @@ in front of the same decision machinery:
 * :mod:`~repro.service.gateway.admission` — per-tenant token-bucket
   quotas, bounded queues/in-flight, and deficit-round-robin fair dequeue;
 * :mod:`~repro.service.gateway.shards` — the schema-sharded worker fleet:
-  each shard process owns its compiled schema sessions, vec-table warms,
-  and journal segment, so hot TBoxes stay cache-local;
+  each shard process owns its schema sessions, memos and journal
+  segment, so hot TBoxes stay cache-local;
 * :mod:`~repro.service.gateway.gateway` — the asyncio front-end
   multiplexing many JSONL clients (AF_UNIX and TCP) over the fleet;
 * :mod:`~repro.service.gateway.http` — a minimal HTTP/1.1 JSON facade on

@@ -86,7 +86,6 @@ class GatewayConfig:
     cache_dir: Union[None, str, Path] = None
     use_cache: bool = False
     default_timeout_ms: Optional[int] = None
-    backend: Optional[str] = None
     semantic_cache: bool = True
     """Enable the per-session semantic lattices on every shard worker
     (:mod:`repro.cache.semantic`); requests can still opt out per-decision
@@ -95,7 +94,7 @@ class GatewayConfig:
     max_respawns: int = 5
     audit: bool = True
     """Run the verdict integrity auditor inside every shard worker (the
-    serve-time countermodel check + sampled A/B backend oracle)."""
+    serve-time countermodel check + sampled A/B re-decide)."""
     health: bool = True
     """Drive the per-shard health ladder (``healthy → degraded →
     quarantined`` with half-open recovery probes)."""
@@ -147,7 +146,6 @@ class GatewayServer:
             cache_dir=self.config.cache_dir,
             use_cache=self.config.use_cache,
             default_timeout_ms=self.config.default_timeout_ms,
-            backend=self.config.backend,
             semantic_cache=self.config.semantic_cache,
             audit=self.config.audit,
             metrics=self.metrics,
@@ -587,9 +585,9 @@ class GatewayServer:
     def _apply_overrides(line: str, overrides: dict) -> str:
         """Merge degradation-ladder overrides into a decide wire line.
 
-        Every ladder key (``semantic_cache`` / ``backend``) is excluded
-        from decision identity, so the rewritten request gets the same
-        verdict — computed with less machinery."""
+        Every ladder key (``semantic_cache``) is excluded from decision
+        identity, so the rewritten request gets the same verdict — computed
+        with less machinery."""
         try:
             data = json.loads(line)
         except ValueError:

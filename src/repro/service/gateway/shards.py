@@ -3,8 +3,8 @@
 A :class:`ShardFleet` owns N *shard workers*, each a separate process (or
 a thread in ``processes=False`` mode) running its own
 :class:`repro.service.server.ContainmentServer` — its own schema sessions,
-kernel memos, vec-table warms, and (when caching is on) its own journal
-segment under ``<cache_dir>/shard-<i>/``.  Decisions are routed by
+memos, and (when caching is on) its own journal segment under
+``<cache_dir>/shard-<i>/``.  Decisions are routed by
 **schema fingerprint** (:func:`shard_for`), so every decision against a
 given TBox always lands on the shard whose sessions and memos are already
 warm for it: hot schemas stay cache-local instead of thrashing across a
@@ -98,7 +98,6 @@ def _shard_server(config: dict, shard_id: int):
         cache_dir=cache_dir,
         use_cache=config.get("use_cache", False),
         default_timeout_ms=config.get("default_timeout_ms"),
-        backend=config.get("backend"),
         semantic_cache=config.get("semantic_cache", True),
         audit=config.get("audit", True),
     )
@@ -463,7 +462,6 @@ class ShardFleet:
         cache_dir: Union[None, str, Path] = None,
         use_cache: bool = False,
         default_timeout_ms: Optional[int] = None,
-        backend: Optional[str] = None,
         semantic_cache: bool = True,
         audit: bool = True,
         metrics: Optional[ServiceMetrics] = None,
@@ -486,7 +484,6 @@ class ShardFleet:
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
             "use_cache": use_cache,
             "default_timeout_ms": default_timeout_ms,
-            "backend": backend,
             "semantic_cache": semantic_cache,
             "audit": audit,
             "processes": processes,

@@ -9,7 +9,7 @@ dump:
 
 * request traffic: received / decided / errored, per request type;
 * amortization: persistent-cache hits, in-batch dedup collapses, schema
-  sessions created vs. reused (= kernel/memo warm reuse);
+  sessions created vs. reused (= normalization/memo reuse);
 * queue health: current and high-water queue depth;
 * latency: per-request wall-clock percentiles (p50/p90/p95/p99/max).
 

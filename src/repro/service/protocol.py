@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.core.containment import ContainmentOptions
-from repro.kernel.vec import BACKENDS
 
 WIRE_VERSION = 1
 
@@ -93,7 +92,7 @@ class Request:
 
 _OPTION_FIELDS = (
     "max_word_length", "max_expansions", "max_nodes", "max_steps",
-    "timeout_ms", "backend", "semantic_cache",
+    "timeout_ms", "semantic_cache",
 )
 
 _NON_NEGATIVE_INT_FIELDS = (
@@ -109,10 +108,6 @@ def _validate_budgets(options: dict) -> None:
         # bool is an int subclass; reject it explicitly
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ProtocolError(f"option {name!r} must be a non-negative integer")
-    if "backend" in options and options["backend"] not in BACKENDS:
-        raise ProtocolError(
-            f"option 'backend' must be one of {', '.join(BACKENDS)}"
-        )
     if "semantic_cache" in options and not isinstance(
         options["semantic_cache"], bool
     ):
@@ -205,8 +200,6 @@ def build_options(raw: dict) -> ContainmentOptions:
         options = replace(options, max_word_length=int(raw["max_word_length"]))
     if "max_expansions" in raw:
         options = replace(options, max_expansions=int(raw["max_expansions"]))
-    if "backend" in raw:
-        options = replace(options, backend=str(raw["backend"]))
     if "semantic_cache" in raw:
         options = replace(options, semantic_cache=bool(raw["semantic_cache"]))
     limits = options.limits

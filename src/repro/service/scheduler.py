@@ -41,11 +41,11 @@ compiled matchers when the verdict *enters* the dedup memo: when it is
 freshly computed, or on its first read from the persistent journal.  A
 failed journal entry is quarantined and the request falls through to a
 fresh decision; a failed *computed* verdict triggers one re-decide on the
-reference configuration (bitset kernel, caches bypassed), and only if
+reference configuration (every cache bypassed, no deadline), and only if
 *that* also fails does the request answer with a structured error.  A
 deterministic 1-in-N sample of freshly computed complete verdicts is
-additionally re-decided on the mirror kernel backend (bitset↔vec); on a
-mismatch the reference answer is the one served and stored.
+additionally re-decided with every cache bypassed; on a mismatch the
+reference answer is the one served and stored.
 
 The memo holds each audited verdict as frozen canonical JSON text, and
 every response carries a freshly decoded copy, so no stored object is
@@ -138,7 +138,6 @@ class DecisionScheduler:
         default_timeout_ms: Optional[int] = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
-        backend: Optional[str] = None,
         semantic_cache: bool = True,
         auditor: Optional[VerdictAuditor] = None,
     ) -> None:
@@ -148,9 +147,6 @@ class DecisionScheduler:
         self.default_timeout_ms = default_timeout_ms
         """Wall-clock cap applied to requests without their own
         ``options.timeout_ms``; ``None`` leaves them unbounded."""
-        self.default_backend = backend
-        """Kernel backend applied to requests without their own
-        ``options.backend``; never part of decision identity."""
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.semantic_cache = semantic_cache
@@ -202,8 +198,6 @@ class DecisionScheduler:
         except Exception as exc:
             raise ProtocolError(f"query parse error: {exc}") from exc
         options = build_options(request.options)
-        if "backend" not in request.options and self.default_backend is not None:
-            options = replace(options, backend=self.default_backend)
         key = decision_key(
             lhs, rhs,
             session.tbox if session is not None else None,
@@ -361,7 +355,8 @@ class DecisionScheduler:
         countermodel (or memory corrupted it): re-decide once on the
         reference configuration and serve that — or fail the request if
         even the reference answer cannot prove itself.  Complete verdicts
-        that pass are additionally A/B-sampled onto the mirror backend."""
+        that pass are additionally A/B-sampled: re-decided with every cache
+        bypassed."""
         if self.auditor is None:
             return verdict
         tbox = item.session.tbox if item.session is not None else None
@@ -370,23 +365,22 @@ class DecisionScheduler:
         ):
             return self._reference_verdict(item, tbox)
         if verdict.get("complete") and self.auditor.should_ab_sample():
-            mirror = self.auditor.ab_verdict(
+            redecided = self.auditor.ab_verdict(
                 item.lhs, item.rhs, tbox, item.request.method, item.options
             )
-            if mirror is not None and mirror != verdict:
+            if redecided != verdict:
                 REGISTRY.inc("audit.ab.mismatch")
                 self.metrics.count("audit_ab_mismatches")
                 return self._reference_verdict(item, tbox)
         return verdict
 
     def _reference_verdict(self, item: _Item, tbox) -> dict:
-        """Last-resort sound fallback: bitset kernel, every cache and
-        inference layer bypassed, no deadline — then audited again."""
+        """Last-resort sound fallback: every cache and inference layer
+        bypassed, no deadline — then audited again."""
         self.metrics.count("audit_reference_redecides")
         REGISTRY.inc("audit.reference.redecides")
         options = replace(
             item.options,
-            backend="bitset",
             use_cache=False,
             semantic_cache=False,
             deadline=None,
@@ -400,7 +394,7 @@ class DecisionScheduler:
         ):
             raise AuditFailure(
                 "audit failed: countermodel rejected even on the reference "
-                "backend (bitset, caches bypassed)"
+                "re-decide (caches bypassed)"
             )
         return verdict
 

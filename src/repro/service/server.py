@@ -66,7 +66,6 @@ class ContainmentServer:
         cache_dir: Union[None, str, Path] = None,
         use_cache: bool = True,
         default_timeout_ms: Optional[int] = None,
-        backend: Optional[str] = None,
         semantic_cache: bool = True,
         audit: bool = True,
         ab_sample_every: int = 64,
@@ -83,10 +82,9 @@ class ContainmentServer:
                 else None
             )
             self.scheduler = DecisionScheduler(
-                SessionManager(metrics, backend=backend or "auto"),
+                SessionManager(metrics),
                 cache, metrics,
                 default_timeout_ms=default_timeout_ms,
-                backend=backend,
                 semantic_cache=semantic_cache,
                 auditor=auditor,
             )

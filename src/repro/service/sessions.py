@@ -1,12 +1,11 @@
-"""Schema sessions: normalize + warm each distinct schema exactly once.
+"""Schema sessions: normalize each distinct schema exactly once.
 
-Every containment decision against a TBox pays a fixed prelude — parse,
-normalize (:func:`repro.dl.normalize.normalize`), compile the clausal CIs
-onto the bitset type kernel — before any search runs.  A *schema session*
-performs that prelude once per distinct schema and keeps the
-:class:`~repro.dl.normalize.NormalizedTBox` alive for the server's
-lifetime, so every later request against the same schema starts from a
-warm kernel and warm per-``content_key`` memos (compiled clauses, Tp
+Every containment decision against a TBox pays a fixed prelude — parse and
+normalize (:func:`repro.dl.normalize.normalize`) — before any search runs.
+A *schema session* performs that prelude once per distinct schema and
+keeps the :class:`~repro.dl.normalize.NormalizedTBox` alive for the
+server's lifetime, so every later request against the same schema starts
+from the same object and its warm per-``content_key`` memos (Tp
 entailment, factorizations).
 
 Sessions are keyed by the schema's *raw* CI text (cheap to compute from a
@@ -18,6 +17,7 @@ converge on the same downstream memo entries.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -25,20 +25,12 @@ from typing import Optional, Union
 from repro.dl.normalize import NormalizedTBox, normalize
 from repro.dl.tbox import TBox
 from repro.io import tbox_from_dict
-from repro.kernel.bitset import compiled_clauses_for
 from repro.service.metrics import ServiceMetrics
-
-WARM_MAX_TABLE_ROWS = 4096
-"""Largest candidate table (2^|concept names|) :meth:`SchemaSession.warm`
-will prebuild.  Matches the decision procedures' default ``max_types``
-guard: a wider signature raises ``ProcedureInfeasible`` at decide time, so
-a prebuilt table would never be consulted — while materializing it costs
-up to 2^n time and memory during session registration."""
 
 
 @dataclass
 class SchemaSession:
-    """One warmed schema: the normalized TBox plus reuse counters."""
+    """One normalized schema plus reuse counters."""
 
     key: tuple
     tbox: NormalizedTBox
@@ -58,36 +50,6 @@ class SchemaSession:
             self.semantic = SemanticLattice()
         return self.semantic
 
-    def warm(self, backend: str = "auto") -> None:
-        """Build the shared bitset-kernel compilation for the schema's full
-        concept signature (a no-op when already cached by ``content_key``),
-        plus the consistent-type bit matrix when the backend resolves to
-        the vec kernel at this signature size.
-
-        The prebuild is skipped entirely above :data:`WARM_MAX_TABLE_ROWS`
-        candidate rows — the same budget the decision procedures enforce —
-        so registering a wide-signature schema stays O(normalize) instead
-        of enumerating 2^n candidates for a table no decision could use.
-
-        ``resolve_backend`` records any auto-downgrade it takes here under
-        ``kernel.backend.fallback.<reason>`` (``numpy_missing``,
-        ``table_too_large``), so service metrics show why a warmed session
-        will run on the bitset kernel."""
-        names = self.tbox.concept_names()
-        if not names:
-            return
-        compiled_clauses_for(self.tbox, names)
-        table_size = 1 << len(names)
-        if table_size > WARM_MAX_TABLE_ROWS:
-            return
-        from repro.kernel.vec import VecUnavailable, resolve_backend, vec_table_for
-
-        try:
-            if resolve_backend(backend, table_size) == "vec":
-                vec_table_for(self.tbox, names)
-        except (VecUnavailable, MemoryError):
-            pass  # the prebuild is an optimization only; decisions fall back
-
     @property
     def content_key(self) -> tuple:
         return self.tbox.content_key()
@@ -105,17 +67,11 @@ class SessionManager:
     requests, so a batch can upload a TBox once and reference it by name.
     """
 
-    def __init__(
-        self,
-        metrics: Optional[ServiceMetrics] = None,
-        backend: str = "auto",
-    ) -> None:
+    def __init__(self, metrics: Optional[ServiceMetrics] = None) -> None:
         self._lock = threading.Lock()
         self._sessions: dict[tuple, SchemaSession] = {}
         self._refs: dict[str, SchemaSession] = {}
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.backend = backend
-        """Kernel backend hint used when warming new sessions."""
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -135,7 +91,7 @@ class SessionManager:
         self, tbox: Union[None, dict, TBox, NormalizedTBox]
     ) -> Optional[SchemaSession]:
         """The (possibly new) session for a schema; ``None`` for schema-less
-        decisions.  New sessions are normalized and warmed on creation."""
+        decisions.  New sessions are normalized on creation."""
         if tbox is None:
             return None
         if isinstance(tbox, dict):
@@ -158,7 +114,6 @@ class SessionManager:
         if normalized is None:
             normalized = normalize(tbox)
         session = SchemaSession(key=key, tbox=normalized, name=raw_name)
-        session.warm(self.backend)
         with self._lock:
             existing = self._sessions.get(key)
             if existing is not None:
@@ -198,11 +153,14 @@ def reset_process_caches() -> None:
 
     This is the programmatic equivalent of a cold CLI start: the decision
     memo, Tp cache, factorization cache, compiled-matcher caches, and the
-    bitset compilation cache are all cleared.  Benchmarks use it to measure
-    cold-vs-warm honestly; servers never call it.
+    bitset compilation cache are all cleared, and so is the vec table cache
+    when a fixpoint has loaded :mod:`repro.kernel.vec` (clearing it never
+    imports it, so a process that only decides stays free of numpy).
+    Benchmarks use it to measure cold-vs-warm honestly; servers never call
+    it.
     """
     from repro.core import containment, reduction
-    from repro.kernel import bitset, vec
+    from repro.kernel import bitset
     from repro.queries import compiled, factorization
 
     containment._DECISION_MEMO.clear()
@@ -213,4 +171,6 @@ def reset_process_caches() -> None:
     compiled._QUERY_MEMO.clear()
     compiled._FINGERPRINT_MEMO.clear()
     bitset._COMPILED_CACHE.clear()
-    vec._TABLE_CACHE.clear()
+    vec = sys.modules.get("repro.kernel.vec")
+    if vec is not None:
+        vec._TABLE_CACHE.clear()

@@ -31,7 +31,7 @@ from repro.dl.normalize import (
 from repro.dl.tbox import TBox
 from repro.graphs.labels import NodeLabel, Role
 from repro.graphs.types import Type
-from repro.kernel import vec
+from repro.kernel import vec, vec_fixpoint
 from repro.kernel.vec import HAVE_NUMPY, VEC_MAX_ROWS, resolve_backend
 from repro.obs import REGISTRY, counter_delta
 from repro.queries.parser import parse_query
@@ -118,7 +118,7 @@ def test_oversized_space_fails_before_scanner_allocates(monkeypatch):
     def boom(*_args, **_kwargs):  # pragma: no cover - guard must preempt this
         raise AssertionError("scanner constructed despite the space guard")
 
-    monkeypatch.setattr(twoway, "ConnectorVecScanner", boom)
+    monkeypatch.setattr(vec_fixpoint, "ConnectorVecScanner", boom)
     tbox = _connector_tboxes()["bare"]
     with pytest.raises(ProcedureInfeasible, match="connector candidate space"):
         _connector_exists(

@@ -10,7 +10,7 @@ from repro.core.containment import ContainmentOptions, is_contained
 from repro.dl.normalize import normalize
 from repro.dl.pg_schema import figure1_schema
 from repro.io import graph_from_dict, verdict_to_dict
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, counter_delta
 from repro.queries.parser import parse_query
 from repro.resilience.audit import (
     JournalScrubber,
@@ -155,16 +155,7 @@ def test_tbox_violating_countermodel_fails():
 
 
 # ------------------------------------------------------------------ #
-# A/B oracle plumbing
-
-
-def test_mirror_backend_mapping():
-    from repro.kernel.vec import HAVE_NUMPY
-
-    assert VerdictAuditor.mirror_backend("vec") == "bitset"
-    expected = "vec" if HAVE_NUMPY else None
-    assert VerdictAuditor.mirror_backend("bitset") == expected
-    assert VerdictAuditor.mirror_backend(None) == expected
+# A/B re-decide plumbing
 
 
 def test_ab_sampling_is_deterministic():
@@ -177,16 +168,17 @@ def test_ab_sampling_is_deterministic():
 
 
 def test_ab_verdict_matches_primary():
-    pytest.importorskip("numpy")
     lhs, rhs, verdict = decide("Company(x), owns(x,y)", "Company(x)", figure1_schema())
     auditor = VerdictAuditor()
-    mirror = auditor.ab_verdict(
+    before = REGISTRY.counters_snapshot()
+    redecided = auditor.ab_verdict(
         lhs, rhs, normalize(figure1_schema()), "auto",
         ContainmentOptions(use_cache=False),
     )
-    assert mirror is not None
-    assert mirror["contained"] == verdict["contained"]
-    assert mirror["complete"] == verdict["complete"]
+    delta = counter_delta(before, REGISTRY.counters_snapshot())
+    assert delta.get("audit.ab.checked") == 1
+    assert redecided["contained"] == verdict["contained"]
+    assert redecided["complete"] == verdict["complete"]
 
 
 # ------------------------------------------------------------------ #

@@ -59,13 +59,15 @@ def test_success_resets_the_failure_streak():
     assert health.state == HEALTHY
 
 
-def test_ladder_order_is_semantic_then_backend():
+def test_ladder_has_one_rung_semantic_cache_off():
+    assert LADDER == ({}, {"semantic_cache": False})
     health = make(HealthPolicy(degrade_after=1))
     health.record_failure("audit_failure")
     assert health.overrides() == {"semantic_cache": False}
-    health.record_failure("audit_failure")
-    assert health.overrides() == {"semantic_cache": False, "backend": "bitset"}
     assert health.state == DEGRADED
+    health.record_failure("audit_failure")
+    assert health.state == QUARANTINED
+    assert health.overrides() == {"semantic_cache": False}
 
 
 def test_exhausting_the_ladder_quarantines():
@@ -81,7 +83,7 @@ def test_ladder_overrides_only_touch_identity_excluded_options():
     # the soundness contract: a rung may only rewrite options that are
     # excluded from decision identity, so degrading can never change an
     # answer.  The line starts every overridden key from another value.
-    options = {"semantic_cache": True, "backend": "vec", "max_nodes": 6}
+    options = {"semantic_cache": True, "max_nodes": 6}
     line = json.dumps({"lhs": "A(x), r(x,y)", "rhs": "B(y)", "options": options})
 
     def key_of(wire: str) -> tuple:
@@ -98,13 +100,10 @@ def test_ladder_overrides_only_touch_identity_excluded_options():
 def test_success_streak_steps_back_down_to_healthy():
     health = make(HealthPolicy(degrade_after=1, recover_after=2))
     health.record_failure("fault")
-    health.record_failure("fault")
-    assert health.rung == 2
-    for _ in range(2):
-        health.record_success()
     assert health.rung == 1
-    for _ in range(2):
-        health.record_success()
+    health.record_success()
+    assert health.state == DEGRADED
+    health.record_success()
     assert health.state == HEALTHY
     assert health.rung == 0
     assert health.overrides() == {}

@@ -272,6 +272,24 @@ def test_unknown_option_error_keeps_the_request_id():
     run(scenario())
 
 
+def test_backend_option_is_unknown_and_keeps_the_request_id():
+    async def scenario():
+        gateway, port = await tcp_gateway()
+        try:
+            client = await Client.tcp(port)
+            error = await client.ask({
+                "id": "b", "lhs": "A(x)", "rhs": "B(x)", "options": {"backend": "bitset"},
+            })
+            assert error == {
+                "type": "error", "id": "b", "error": "unknown options: backend",
+            }
+            await client.close()
+        finally:
+            await gateway.stop()
+
+    run(scenario())
+
+
 def test_unknown_schema_ref_is_a_structured_error():
     async def scenario():
         gateway, port = await tcp_gateway()

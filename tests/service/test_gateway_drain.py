@@ -131,18 +131,16 @@ def test_shard_faults_climb_the_ladder_and_degrade_dispatch():
         )
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            with faults.injected_faults("gateway.shard.handle:raise:2"):
-                for i in range(2):
-                    await send(writer, {"type": "decide", "id": f"f{i}",
-                                        "lhs": "A(x)", "rhs": "B(x)"})
-                    # shard-fault errors carry no request id: read in order
-                    response = await recv(reader)
-                    assert "shard fault" in response.get("error", "")
+            with faults.injected_faults("gateway.shard.handle:raise:1"):
+                await send(writer, {"type": "decide", "id": "f0",
+                                    "lhs": "A(x)", "rhs": "B(x)"})
+                # shard-fault errors carry no request id
+                response = await recv(reader)
+                assert "shard fault" in response.get("error", "")
             health = gateway.health[0]
             assert health.state == DEGRADED
-            assert health.rung == 2
-            assert health.overrides() == {"semantic_cache": False,
-                                          "backend": "bitset"}
+            assert health.rung == 1
+            assert health.overrides() == {"semantic_cache": False}
             # degraded dispatch still answers, verdict unchanged
             await send(writer, {"type": "decide", "id": "ok",
                                 "lhs": "A(x)", "rhs": "B(x)"})

@@ -81,7 +81,9 @@ class TestDecideModel:
             _decide(options={"warp_speed": 9})
 
     @pytest.mark.parametrize(
-        "options", [{"workers": 2}, {"incremental": False}, {"incremental": "off"}]
+        "options",
+        [{"workers": 2}, {"incremental": False}, {"incremental": "off"},
+         {"backend": "vec"}],
     )
     def test_removed_options_raise(self, options):
         (name,) = options

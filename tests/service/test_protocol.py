@@ -78,7 +78,8 @@ class TestParseRequest:
     @pytest.mark.parametrize(
         "options",
         [{"workers": 2}, {"workers": 1}, {"incremental": False},
-         {"incremental": "off"}, {"incremental": None}],
+         {"incremental": "off"}, {"incremental": None},
+         {"backend": "vec"}, {"backend": "bitset"}, {"backend": "auto"}],
     )
     def test_removed_options_are_unknown(self, options):
         (name,) = options

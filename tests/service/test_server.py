@@ -88,6 +88,16 @@ class TestPipeMode:
             {"type": "error", "id": "x", "error": "unknown options: workers"}
         ]
 
+    def test_backend_option_is_unknown_and_keeps_the_request_id(self):
+        responses = _pipe(_server(), [
+            {"id": "b", "lhs": "A(x)", "rhs": "B(x)", "options": {"backend": "vec"}},
+            {"id": "ok", "lhs": "A(x)", "rhs": "B(x)"},
+        ])
+        assert responses[0] == {
+            "type": "error", "id": "b", "error": "unknown options: backend",
+        }
+        assert responses[1]["type"] == "verdict" and responses[1]["id"] == "ok"
+
     def test_uncertified_sparse_trues_answer_incomplete(self):
         forall_chain = TBox.of([
             ("A", "forall r.L1"), ("L1", "forall r.L2"),

@@ -47,25 +47,6 @@ class TestSessionManager:
         # registering a ref does not duplicate the underlying session
         assert manager.session_for(_tbox()) is registered
 
-    def test_wide_signature_registration_skips_vec_prebuild(self):
-        # 20 concept names → 2^20 candidate rows, past the decision
-        # procedures' max_types guard: warm() must not enumerate the table
-        # (registration used to hang/OOM here with numpy installed)
-        names = [f"C{i}" for i in range(20)]
-        wide = TBox.of(
-            [(names[i], names[i + 1]) for i in range(len(names) - 1)],
-            name="wide",
-        )
-        session = SessionManager().session_for(wide)
-        assert session is not None
-        from repro.kernel import vec
-
-        key = (
-            session.tbox.content_key(),
-            tuple(sorted(session.tbox.concept_names())),
-        )
-        assert key not in vec._TABLE_CACHE
-
     def test_snapshot_reports_fragment(self):
         manager = SessionManager()
         manager.session_for(_tbox())

@@ -85,9 +85,14 @@ class TestContainFlags:
             ["explain", "A(x)", "B(x)", "--workers", "2"],
             ["batch", "requests.jsonl", "--workers", "2"],
             ["serve", "--workers", "2"],
+            ["contain", "A(x)", "B(x)", "--backend", "vec"],
+            ["explain", "A(x)", "B(x)", "--backend", "bitset"],
+            ["batch", "requests.jsonl", "--backend", "vec"],
+            ["serve", "--backend", "auto"],
         ],
         ids=["contain-workers", "contain-incremental", "explain-workers",
-             "batch-workers", "serve-workers"],
+             "batch-workers", "serve-workers", "contain-backend",
+             "explain-backend", "batch-backend", "serve-backend"],
     )
     def test_removed_flags_are_argparse_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
