@@ -54,12 +54,8 @@ from repro.queries.presets import example_11_q1, example_11_q2
 from repro.resilience import faults
 from repro.resilience.health import HEALTHY, QUARANTINED, HealthPolicy
 from repro.service.cache import DecisionCache
-from repro.service.gateway import (
-    DecideModel,
-    GatewayConfig,
-    GatewayServer,
-    SchemaModel,
-)
+from repro.service.gateway import GatewayConfig, GatewayServer
+from repro.service.protocol import DecideModel, SchemaModel
 from repro.service.server import ContainmentServer
 
 SHARDS = 2

@@ -40,13 +40,8 @@ import sys
 
 from conftest import print_table
 
-from repro.service.gateway import (
-    DecideModel,
-    GatewayConfig,
-    GatewayServer,
-    SchemaModel,
-    TenantQuota,
-)
+from repro.service.gateway import GatewayConfig, GatewayServer, TenantQuota
+from repro.service.protocol import DecideModel, SchemaModel
 from repro.service.server import ContainmentServer
 
 HEAVY = "heavy"

@@ -11,8 +11,9 @@ eval      evaluate a query over a graph file
     python -m repro eval graph.edges "A(x), r*(x,y)"
 batch     run a JSONL request file through the containment service
     python -m repro batch requests.jsonl -o verdicts.jsonl
-serve     long-running containment service (JSONL on stdin/stdout or a socket)
-    python -m repro serve --socket /tmp/repro.sock
+serve     long-running containment service: JSONL on stdin/stdout, or the
+          concurrent gateway on a Unix socket / TCP / HTTP
+    python -m repro serve --socket /tmp/repro.sock --shards 1 --shard-threads
 cache     inspect or clear the persistent decision journals
     python -m repro cache stats
 
@@ -300,21 +301,19 @@ def _parse_host_port(spec: str) -> tuple[str, int]:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    if args.tcp or args.http:
+    if args.socket or args.tcp or args.http:
         return _serve_gateway(args)
     server = _build_server(args)
     try:
-        if args.socket:
-            server.serve_socket(args.socket)
-        else:
-            server.serve_pipe(sys.stdin, sys.stdout)
+        server.serve_pipe(sys.stdin, sys.stdout)
     finally:
         _dump_metrics(server, args.metrics_json)
     return 0
 
 
 def _serve_gateway(args: argparse.Namespace) -> int:
-    """The concurrent multi-tenant gateway (``--tcp`` / ``--http``)."""
+    """The concurrent multi-tenant gateway (``--socket`` / ``--tcp`` /
+    ``--http``)."""
     import asyncio
     import signal
 
@@ -531,14 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     batch.set_defaults(func=cmd_batch)
 
     serve = sub.add_parser(
-        "serve", help="long-running containment service (pipe, socket, or "
-        "concurrent gateway)"
+        "serve", help="long-running containment service (stdin/stdout pipe, "
+        "or the concurrent gateway on a socket, TCP or HTTP)"
     )
     serve.add_argument(
         "--socket", default=None, metavar="PATH",
-        help="serve a local Unix socket at PATH instead of stdin/stdout "
-        "(sequential reference server; with --tcp/--http it becomes a "
-        "gateway JSONL listener instead)",
+        help="gateway mode: concurrent JSONL clients on a local Unix socket "
+        "at PATH (a stale socket file is reclaimed, any other file refused; "
+        "--shards 1 --shard-threads keeps it in one process)",
     )
     serve.add_argument(
         "--tcp", default=None, type=_parse_host_port, metavar="HOST:PORT",

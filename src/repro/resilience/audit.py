@@ -26,13 +26,12 @@ a mismatch is counted, and the reference re-decide is the answer served
 and stored.  It runs the same decision procedure as the first answer, so
 it catches a stale or corrupted cache entry, not a wrong procedure.
 
-**Background scrubber** (:class:`JournalScrubber`).  Walks the decision
+**Journal scrubber** (:class:`JournalScrubber`).  Walks the decision
 and semantic journals the way a warm restart would — CRC + JSON + code
 fingerprint at the file layer, witness structure at the record layer —
 and quarantines anything that fails to ``quarantine.jsonl``, so latent
 disk corruption is surfaced and evicted *before* a restart would have
-trusted it.  Runs as a synchronous pass (``repro cache scrub``) or a
-daemon thread inside the server.
+trusted it.  Runs as one synchronous pass (``repro cache scrub``).
 
 All outcomes land on the obs registry under the ``audit.*`` counter
 family (plus ``semcache.quarantined`` for semantic-journal evictions).
@@ -258,16 +257,10 @@ class JournalScrubber:
     the report dict — the payload of ``repro cache scrub``.
     """
 
-    def __init__(self, cache, metrics=None, interval_s: float = 30.0) -> None:
+    def __init__(self, cache, metrics=None) -> None:
         self.cache = cache
         self.metrics = metrics
-        self.interval_s = interval_s
         self.passes = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    # ------------------------------------------------------------- #
-    # one synchronous pass
 
     def scrub_once(self) -> dict:
         files = self.cache.scrub_files()
@@ -327,29 +320,3 @@ class JournalScrubber:
             except Exception:
                 return "countermodel evaluation failed"
         return None
-
-    # ------------------------------------------------------------- #
-    # background mode
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-scrubber", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.scrub_once()
-            except Exception:  # pragma: no cover - a scrub pass must never
-                REGISTRY.inc("audit.scrub.errors")  # take the server down

@@ -6,8 +6,8 @@ a cold ``is_contained`` call rebuilds everything and a process exit throws
 it away.  This package keeps that state alive across many decisions and
 many processes:
 
-* :mod:`repro.service.protocol` — the JSONL wire format (requests,
-  responses, option whitelisting);
+* :mod:`repro.service.protocol` — the JSONL wire format: the one request
+  model every front validates with, responses, option whitelisting;
 * :mod:`repro.service.sessions` — schema sessions: one normalization per
   distinct schema;
 * :mod:`repro.service.scheduler` — request dedup, priority/FIFO ordering,
@@ -16,7 +16,8 @@ many processes:
   corruption-tolerant decision journal;
 * :mod:`repro.service.metrics` — per-session counters and latency
   percentiles behind the ``stats`` request;
-* :mod:`repro.service.server` — pipe and Unix-socket transports.
+* :mod:`repro.service.server` — the pipe transport (every socket listener
+  is the gateway's, :mod:`repro.service.gateway`).
 
 Batch runs are bit-identical to sequential ``is_contained`` calls — the
 scheduler only reorders and reuses, never changes, decisions (enforced by

@@ -1,12 +1,11 @@
 """``repro.service.gateway`` — the concurrent multi-tenant front-end.
 
-The sequential :class:`repro.service.server.ContainmentServer` stays the
-deterministic reference path; this package puts a concurrent service tier
-in front of the same decision machinery:
+The pipe server (:class:`repro.service.server.ContainmentServer`) stays
+the deterministic reference path; this package puts a concurrent service
+tier, and every socket listener, in front of the same decision machinery.
+Every front validates a line with
+:func:`repro.service.protocol.parse_request`:
 
-* :mod:`~repro.service.gateway.models` — typed wire-request models with
-  explicit validation (query-length caps, timeout bounds, tenant syntax),
-  shared by the JSONL and HTTP facades;
 * :mod:`~repro.service.gateway.admission` — per-tenant token-bucket
   quotas, bounded queues/in-flight, and deficit-round-robin fair dequeue;
 * :mod:`~repro.service.gateway.shards` — the schema-sharded worker fleet:
@@ -17,7 +16,7 @@ in front of the same decision machinery:
 * :mod:`~repro.service.gateway.http` — a minimal HTTP/1.1 JSON facade on
   the same admission/dispatch path.
 
-Verdict payloads are bit-identical to the sequential server by
+Verdict payloads are bit-identical to the pipe server by
 construction — the shards run the same scheduler/kernel stack — which the
 E23 benchmark asserts per request id.
 """
@@ -29,21 +28,13 @@ from repro.service.gateway.admission import (
     TokenBucket,
 )
 from repro.service.gateway.gateway import GatewayConfig, GatewayServer
-from repro.service.gateway.models import (
-    DecideModel,
-    ModelValidationError,
-    SchemaModel,
-)
 from repro.service.gateway.shards import ShardFleet, shard_for
 
 __all__ = [
     "AdmissionController",
-    "DecideModel",
     "FairQueue",
     "GatewayConfig",
     "GatewayServer",
-    "ModelValidationError",
-    "SchemaModel",
     "ShardFleet",
     "TenantQuota",
     "TokenBucket",

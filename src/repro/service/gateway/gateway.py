@@ -3,29 +3,30 @@
 One :class:`GatewayServer` multiplexes any number of concurrent JSONL
 clients — AF_UNIX (:meth:`GatewayServer.start_unix`) and TCP
 (:meth:`GatewayServer.start_tcp`) speak the exact wire protocol of the
-sequential server; :mod:`repro.service.gateway.http` adds an HTTP/JSON
-facade on the same path — over a :class:`ShardFleet` of kernel worker
-processes sharded by schema fingerprint.
+pipe server; :mod:`repro.service.gateway.http` adds an HTTP/JSON facade
+on the same path — over a :class:`ShardFleet` of kernel worker processes
+sharded by schema fingerprint.  Every socket the service listens on is
+one of these.
 
 Request path for a ``decide`` line::
 
-    read line → typed model validation → admission (quota / queue /
-    in-flight gates) → per-shard fair queue → DRR dispatcher →
-    shard worker (ContainmentServer) → response written back
+    read line → parse_request (the one request model) → admission
+    (quota / queue / in-flight gates) → per-shard fair queue → DRR
+    dispatcher → shard worker (ContainmentServer) → response written back
 
-Differences from the sequential server, by design:
+Differences from the pipe server, by design:
 
 * ``decide`` responses stream back *as they complete* — there is no
   batch-flush buffering, so concurrent clients are never serialized
   behind each other.  Clients match responses by ``id``.  Verdict
-  *payloads* are still bit-identical to the sequential server (same
+  *payloads* are still bit-identical to the pipe server (same
   scheduler/kernel stack in each shard), which E23 asserts.
 * ``flush`` waits for the connection's outstanding decisions (whose
   verdicts have then already been written) and answers an ``ack``.
-* ``shutdown`` ends *that connection* (drain + ``bye``), not the whole
-  gateway — one tenant must not be able to stop the service for the
-  rest.  Stopping the gateway is the owner's call (:meth:`stop`, CLI
-  signal).
+* ``shutdown`` ends *that connection* (drain + ``bye``), on every
+  listener, unix sockets included — one client must not be able to stop
+  the service for the rest.  Stopping the gateway is the owner's call:
+  :meth:`stop`, or a signal to ``repro serve`` (SIGTERM drains first).
 * rejected requests answer a structured ``overloaded`` error immediately
   and never occupy a shard slot.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import stat
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,23 +50,26 @@ from typing import Optional, Union
 from repro.resilience import faults
 from repro.resilience.health import QUARANTINED, HealthPolicy, ShardHealth
 from repro.service.gateway.admission import AdmissionController, FairQueue, TenantQuota
-from repro.service.gateway.models import (
-    DecideModel,
-    ModelValidationError,
-    SchemaModel,
-)
 from repro.service.gateway.shards import ShardFleet, ShardUnavailable
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
+    DecideModel,
+    ProtocolError,
+    SchemaModel,
     draining_response,
     encode_response,
     error_response,
     overloaded_response,
+    parse_request,
 )
 
 OUTCOME_ADMITTED = "admitted"
 OUTCOME_REJECTED = "rejected"
-OUTCOME_INVALID = "invalid"
+
+SHARD_PIPELINE = 4
+"""Envelopes kept in flight per shard socket: enough to hide the
+round-trip, small enough that fairness is decided in the DRR queue, not in
+the worker's FIFO."""
 
 
 @dataclass
@@ -79,10 +84,6 @@ class GatewayConfig:
     max_queue: int = 1024
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     tenant_quotas: dict[str, TenantQuota] = field(default_factory=dict)
-    shard_pipeline: int = 4
-    """Envelopes kept in flight per shard socket: enough to hide the
-    round-trip, small enough that fairness is decided in the DRR queue,
-    not in the worker's FIFO."""
     cache_dir: Union[None, str, Path] = None
     use_cache: bool = False
     default_timeout_ms: Optional[int] = None
@@ -95,12 +96,10 @@ class GatewayConfig:
     audit: bool = True
     """Run the verdict integrity auditor inside every shard worker (the
     serve-time countermodel check + sampled A/B re-decide)."""
-    health: bool = True
-    """Drive the per-shard health ladder (``healthy → degraded →
-    quarantined`` with half-open recovery probes)."""
     health_policy: Optional[HealthPolicy] = None
-    """Ladder/breaker tunables; ``None`` uses :class:`HealthPolicy`
-    defaults."""
+    """Tunables of the per-shard health ladder (``healthy → degraded →
+    quarantined`` with half-open recovery probes); ``None`` uses
+    :class:`HealthPolicy` defaults."""
     health_interval_s: float = 0.05
     """Cadence of the probe loop that re-admits quarantined shards."""
 
@@ -120,7 +119,7 @@ class _Connection:
         self.dropped = False
         self.seq = 0
         """Per-connection request counter (stable default ids, like the
-        sequential server's per-stream :class:`StreamState`)."""
+        pipe server's per-stream :class:`StreamState`)."""
 
 
 class GatewayServer:
@@ -150,16 +149,12 @@ class GatewayServer:
             audit=self.config.audit,
             metrics=self.metrics,
             max_respawns=self.config.max_respawns,
-            on_worker_loss=self._on_worker_loss if self.config.health else None,
+            on_worker_loss=self._on_worker_loss,
         )
-        self.health: list[ShardHealth] = (
-            [
-                ShardHealth(i, policy=self.config.health_policy)
-                for i in range(self.config.shards)
-            ]
-            if self.config.health
-            else []
-        )
+        self.health = [
+            ShardHealth(i, policy=self.config.health_policy)
+            for i in range(self.config.shards)
+        ]
         self._queues = [
             FairQueue(self.admission.weight_of) for _ in range(self.config.shards)
         ]
@@ -167,6 +162,7 @@ class GatewayServer:
         self._dispatchers: list[asyncio.Task] = []
         self._servers: list[asyncio.base_events.Server] = []
         self._conn_tasks: set[asyncio.Task] = set()
+        self._unix_paths: list[Path] = []
         self._ref_keys: dict[str, str] = {}
         self._started = False
         self._draining = False
@@ -184,8 +180,7 @@ class GatewayServer:
             asyncio.ensure_future(self._dispatch_loop(i))
             for i in range(self.config.shards)
         ]
-        if self.health:
-            self._health_task = asyncio.ensure_future(self._health_loop())
+        self._health_task = asyncio.ensure_future(self._health_loop())
         self._started = True
 
     async def stop(self) -> None:
@@ -205,6 +200,12 @@ class GatewayServer:
             except Exception:
                 pass
         self._servers = []
+        for path in self._unix_paths:
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                pass
+        self._unix_paths = []
         # connection handlers park on readline; cancel and await them so
         # nothing is destroyed while pending
         for task in list(self._conn_tasks):
@@ -233,19 +234,43 @@ class GatewayServer:
         await self.fleet.stop()
 
     async def start_unix(self, path: Union[str, Path]) -> asyncio.base_events.Server:
-        """Listen for JSONL clients on a local AF_UNIX socket."""
+        """Listen for JSONL clients on a local AF_UNIX socket.
+
+        A socket file a crashed server left at ``path`` is removed first
+        (counted under ``stale_socket_removed``).  Anything else there is
+        refused with :class:`OSError` and left untouched: binding over a
+        regular file or a directory almost certainly means a mistyped path,
+        and deleting user data to grab it would be far worse than failing.
+        :meth:`stop` removes the socket file again."""
         socket_path = Path(path)
-        if socket_path.exists():
-            try:
-                socket_path.unlink()
-            except FileNotFoundError:
-                pass
+        self._remove_stale_socket(socket_path)
         server = await asyncio.start_unix_server(
             self._serve_jsonl, path=str(socket_path),
             limit=self.config.max_line_bytes,
         )
         self._servers.append(server)
+        self._unix_paths.append(socket_path)
         return server
+
+    def _remove_stale_socket(self, socket_path: Path) -> None:
+        """Unlink a stale socket file at ``socket_path``; refuse any other
+        file.  The lstat → unlink window races against any other server
+        starting on the same path: whoever unlinks second sees
+        ``FileNotFoundError``, which counts as success — the stale file is
+        gone either way."""
+        try:
+            mode = socket_path.lstat().st_mode
+        except FileNotFoundError:
+            return
+        if not stat.S_ISSOCK(mode):
+            raise OSError(
+                f"refusing to remove {socket_path}: exists and is not a socket"
+            )
+        try:
+            socket_path.unlink()
+        except FileNotFoundError:
+            return
+        self.metrics.count("stale_socket_removed")
 
     async def start_tcp(self, host: str, port: int) -> asyncio.base_events.Server:
         """Listen for JSONL clients on TCP ``host:port``."""
@@ -336,61 +361,35 @@ class GatewayServer:
         if not line:
             return False
         conn.seq += 1
-        default_id = f"req-{conn.seq}"
         self.metrics.count("requests")
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
+            request = parse_request(line, conn.seq)
+        except ProtocolError as exc:
             self.metrics.count("errors")
-            await self._write(conn, [error_response(None, f"bad JSON: {exc}")])
+            await self._write(conn, [error_response(exc.request_id, str(exc))])
             return False
-        if not isinstance(data, dict):
-            self.metrics.count("errors")
-            await self._write(conn, [error_response(None, "request must be a JSON object")])
-            return False
-        rtype = data.get("type", "decide")
-        self.metrics.count(f"requests_{rtype}")
-        if rtype == "ping":
-            await self._write(conn, [{"type": "pong", "id": str(data.get("id", "ping"))}])
-            return False
-        if rtype == "stats":
-            await self._write(conn, [{
-                "type": "stats", "id": str(data.get("id", "stats")),
-                "stats": self.stats(),
-            }])
-            return False
-        if rtype == "flush":
-            await self._drain_connection(conn)
-            await self._write(conn, [{"type": "ack", "id": str(data.get("id", "flush"))}])
-            return False
-        if rtype == "shutdown":
-            await self._drain_connection(conn)
-            await self._write(conn, [{"type": "bye", "id": str(data.get("id", "shutdown"))}])
-            return True
-        if rtype == "schema":
-            try:
-                model = SchemaModel.from_wire(data, default_id=default_id)
-            except ModelValidationError as exc:
-                self.metrics.count("errors")
-                await self._write(conn, [error_response(data.get("id"), str(exc))])
-                return False
-            responses = await self.register_schema(model)
-            await self._write(conn, responses)
-            return False
-        if rtype == "decide":
-            try:
-                model = DecideModel.from_wire(data, default_id=default_id)
-            except ModelValidationError as exc:
-                self.metrics.count("errors")
-                self.metrics.count("gateway_invalid")
-                await self._write(conn, [error_response(data.get("id"), str(exc))])
-                return False
-            task = asyncio.ensure_future(self._decide_and_write(conn, model))
+        self.metrics.count(f"requests_{request.type}")
+        if request.type == "decide":
+            task = asyncio.ensure_future(self._decide_and_write(conn, request))
             conn.tasks.add(task)
             task.add_done_callback(conn.tasks.discard)
-            return False
-        self.metrics.count("errors")
-        await self._write(conn, [error_response(data.get("id"), f"unknown request type {rtype!r}")])
+        elif request.type == "schema":
+            await self._write(conn, await self.register_schema(request))
+        elif request.type == "ping":
+            await self._write(conn, [{"type": "pong", "id": request.id}])
+        elif request.type == "stats":
+            await self._write(conn, [
+                {"type": "stats", "id": request.id, "stats": self.stats()}
+            ])
+        else:
+            # flush and shutdown wait for this connection's decisions;
+            # shutdown then closes the connection, never the gateway
+            await self._drain_connection(conn)
+            if request.type == "flush":
+                await self._write(conn, [{"type": "ack", "id": request.id}])
+            else:
+                await self._write(conn, [{"type": "bye", "id": request.id}])
+                return True
         return False
 
     async def _drain_connection(self, conn: _Connection) -> None:
@@ -489,8 +488,6 @@ class GatewayServer:
         — the reroute costs cache locality, not correctness).  When no
         shard accepts, keep the home shard: it answers the structured
         ``shard unavailable`` error."""
-        if not self.health:
-            return base
         for offset in range(self.config.shards):
             candidate = (base + offset) % self.config.shards
             if (
@@ -508,10 +505,10 @@ class GatewayServer:
 
     async def _dispatch_loop(self, shard_id: int) -> None:
         """Drain shard ``shard_id``'s fair queue into its worker, keeping
-        at most ``shard_pipeline`` envelopes in flight."""
+        at most :data:`SHARD_PIPELINE` envelopes in flight."""
         queue = self._queues[shard_id]
         event = self._queue_events[shard_id]
-        semaphore = asyncio.Semaphore(self.config.shard_pipeline)
+        semaphore = asyncio.Semaphore(SHARD_PIPELINE)
         while True:
             await event.wait()
             # clear *before* draining: a push that lands mid-drain re-sets
@@ -539,20 +536,18 @@ class GatewayServer:
         line: str,
         future: asyncio.Future,
     ) -> None:
-        health = self.health[shard_id] if self.health else None
-        if health is not None:
-            overrides = health.overrides()
-            if overrides:
-                line = self._apply_overrides(line, overrides)
-                self.metrics.shard_count(shard_id, "degraded_dispatch")
+        health = self.health[shard_id]
+        overrides = health.overrides()
+        if overrides:
+            line = self._apply_overrides(line, overrides)
+            self.metrics.shard_count(shard_id, "degraded_dispatch")
         try:
             faults.maybe_fault("gateway.dispatch")
             responses = await self.fleet.submit(shard_id, line)
         except faults.FaultInjected as exc:
             self.metrics.count("errors")
             responses = [error_response(None, f"gateway fault: {exc}")]
-            if health is not None:
-                health.record_failure("fault", str(exc))
+            health.record_failure("fault", str(exc))
         except ShardUnavailable as exc:
             self.metrics.count("errors")
             self.metrics.count("gateway_shard_unavailable")
@@ -560,11 +555,9 @@ class GatewayServer:
         except Exception as exc:  # the dispatch loop must never die
             self.metrics.count("errors")
             responses = [error_response(None, f"internal gateway error: {exc}")]
-            if health is not None:
-                health.record_failure("fault", str(exc))
+            health.record_failure("fault", str(exc))
         else:
-            if health is not None:
-                self._observe_shard_responses(health, responses)
+            self._observe_shard_responses(health, responses)
         self.metrics.tenant_count(tenant, "responses")
         for response in responses:
             # per-tenant verdict provenance: which cache layer answered
@@ -628,8 +621,6 @@ class GatewayServer:
     def _on_worker_loss(self, shard_id: int, dead: bool) -> None:
         """Fleet callback: a worker died (``dead`` once the respawn budget
         is exhausted — straight to quarantine, probes take it from there)."""
-        if not self.health:
-            return
         health = self.health[shard_id]
         if dead:
             health.quarantine("respawn budget exhausted")
@@ -714,14 +705,11 @@ class GatewayServer:
         at least one shard accepts traffic (liveness — ``/v1/healthz`` —
         stays true through a drain; readiness is what load balancers gate
         new traffic on)."""
-        if self.health:
-            accepting = sum(
-                1
-                for i, health in enumerate(self.health)
-                if health.accepts_traffic() and not self.fleet.shards[i].dead
-            )
-        else:
-            accepting = sum(1 for shard in self.fleet.shards if not shard.dead)
+        accepting = sum(
+            1
+            for i, health in enumerate(self.health)
+            if health.accepts_traffic() and not self.fleet.shards[i].dead
+        )
         ready = self._started and not self._draining and accepting > 0
         return ready, {
             "ready": ready,
@@ -751,9 +739,8 @@ class GatewayServer:
             "schema_refs": len(self._ref_keys),
             "draining": self._draining,
             "audit": self.config.audit,
+            "health": [h.snapshot() for h in self.health],
         }
-        if self.health:
-            payload["gateway"]["health"] = [h.snapshot() for h in self.health]
         return payload
 
     async def shard_stats(self) -> list[dict]:

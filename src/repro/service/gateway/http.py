@@ -2,15 +2,16 @@
 
 No web framework — the container ships none we may add — so this module
 implements just enough HTTP/1.1 on asyncio streams for curl-able,
-keep-alive JSON endpoints, all funnelling into the same typed models +
-admission + shard dispatch path as the JSONL transport:
+keep-alive JSON endpoints, all funnelling into the same request model
+(:func:`repro.service.protocol.parse_request`) + admission + shard
+dispatch path as the JSONL transport:
 
 =======  =====================  ===========================================
 method   path                   action
 =======  =====================  ===========================================
-POST     ``/v1/decide``         one containment decision (body =
-                                :class:`DecideModel` fields; tenant also
-                                accepted via ``X-Repro-Tenant``)
+POST     ``/v1/decide``         one containment decision (body = a decide
+                                request line; tenant also accepted via
+                                ``X-Repro-Tenant``)
 POST     ``/v1/schemas``        register a schema for ``schema_ref`` reuse
 GET      ``/v1/stats``          gateway metrics snapshot
                                 (``?deep=1`` adds per-shard snapshots)
@@ -21,9 +22,11 @@ GET      ``/v1/readyz``         readiness probe — 200 only when started,
                                 503 otherwise (what load balancers gate on)
 =======  =====================  ===========================================
 
-Status mapping: validation failures → 400, admission rejections → 429
-with a ``Retry-After`` header (seconds, rounded up), shard loss → 503,
-unknown paths → 404.  Responses are ``application/json`` with explicit
+Status mapping: validation failures → 400 with the error object the JSONL
+front writes for the same line (its ``id`` kept; requests without one are
+numbered ``req-N`` per connection), admission rejections → 429 with a
+``Retry-After`` header (seconds, rounded up), shard loss → 503, unknown
+paths → 404.  Responses are ``application/json`` with explicit
 ``Content-Length``; ``Connection: close`` (or HTTP/1.0) ends the
 keep-alive loop.
 
@@ -39,12 +42,12 @@ import json
 import math
 from typing import TYPE_CHECKING, Optional
 
-from repro.service.gateway.models import (
-    DecideModel,
-    ModelValidationError,
-    SchemaModel,
+from repro.service.protocol import (
+    DEFAULT_TENANT,
+    ProtocolError,
+    error_response,
+    parse_request,
 )
-from repro.service.gateway.shards import ShardUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.gateway.gateway import GatewayServer
@@ -137,18 +140,6 @@ async def _read_request(
     return method, path, version, headers, body
 
 
-def _json_body(body: bytes) -> dict:
-    if not body:
-        raise _HttpError(400, "empty body (JSON object expected)")
-    try:
-        data = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise _HttpError(400, f"bad JSON body: {exc}")
-    if not isinstance(data, dict):
-        raise _HttpError(400, "body must be a JSON object")
-    return data
-
-
 async def serve_http_connection(
     gateway: "GatewayServer",
     reader: asyncio.StreamReader,
@@ -158,6 +149,7 @@ async def serve_http_connection(
     gateway.metrics.count("connections")
     gateway.metrics.count("http_connections")
     dropped = False
+    seq = 0
     task = asyncio.current_task()
     if task is not None:
         gateway._conn_tasks.add(task)
@@ -169,7 +161,7 @@ async def serve_http_connection(
             except _HttpError as exc:
                 gateway.metrics.count("errors")
                 writer.write(_encode(
-                    exc.status, {"error": exc.message}, keep_alive=False
+                    exc.status, error_response(None, exc.message), keep_alive=False
                 ))
                 await writer.drain()
                 break
@@ -179,6 +171,7 @@ async def serve_http_connection(
                 break
             if parsed is None:
                 break
+            seq += 1
             method, path, version, headers, body = parsed
             keep_alive = (
                 version.upper() != "HTTP/1.0"
@@ -186,13 +179,13 @@ async def serve_http_connection(
             )
             try:
                 status, payload, extra = await _handle(
-                    gateway, method, path, headers, body
+                    gateway, method, path, headers, body, seq
                 )
             except _HttpError as exc:
-                status, payload, extra = exc.status, {"error": exc.message}, None
+                status, payload, extra = exc.status, error_response(None, exc.message), None
                 gateway.metrics.count("errors")
             except Exception as exc:  # never kill the accept loop
-                status, payload, extra = 500, {"error": f"internal error: {exc}"}, None
+                status, payload, extra = 500, error_response(None, f"internal error: {exc}"), None
                 gateway.metrics.count("errors")
             gateway.metrics.count(f"http_{status}")
             try:
@@ -216,51 +209,23 @@ async def serve_http_connection(
             pass
 
 
+_ROUTE_TYPES = {"/v1/decide": "decide", "/v1/schemas": "schema", "/v1/schema": "schema"}
+
+
 async def _handle(
     gateway: "GatewayServer",
     method: str,
     path: str,
     headers: dict[str, str],
     body: bytes,
+    seq: int,
 ) -> tuple[int, dict, Optional[dict[str, str]]]:
     route = path.split("?", 1)[0].rstrip("/") or "/"
     query = path.split("?", 1)[1] if "?" in path else ""
-    if route == "/v1/decide":
+    if route in _ROUTE_TYPES:
         if method != "POST":
             raise _HttpError(405, "POST required")
-        data = _json_body(body)
-        if "tenant" not in data and "x-repro-tenant" in headers:
-            data["tenant"] = headers["x-repro-tenant"]
-        try:
-            model = DecideModel.from_wire(data, default_id="http-decide")
-        except ModelValidationError as exc:
-            raise _HttpError(400, str(exc))
-        outcome, responses = await gateway.decide(model)
-        first = responses[0] if responses else {"type": "error", "error": "no response"}
-        if outcome == "rejected":
-            retry_ms = first.get("retry_after_ms", 0) or 0
-            return 429, first, {"Retry-After": str(max(1, math.ceil(retry_ms / 1000)))}
-        if first.get("type") == "error":
-            if "shard unavailable" in first.get("error", ""):
-                return 503, first, None
-            return 400, first, None
-        return 200, first, None
-    if route in ("/v1/schemas", "/v1/schema"):
-        if method != "POST":
-            raise _HttpError(405, "POST required")
-        data = _json_body(body)
-        try:
-            model = SchemaModel.from_wire(data, default_id="http-schema")
-        except ModelValidationError as exc:
-            raise _HttpError(400, str(exc))
-        try:
-            responses = await gateway.register_schema(model)
-        except ShardUnavailable as exc:
-            return 503, {"error": f"shard unavailable: {exc}"}, None
-        first = responses[0] if responses else {"type": "error", "error": "no response"}
-        if first.get("type") == "error":
-            return 400, first, None
-        return 200, first, None
+        return await _handle_request(gateway, _ROUTE_TYPES[route], headers, body, seq)
     if route == "/v1/stats":
         if method != "GET":
             raise _HttpError(405, "GET required")
@@ -278,3 +243,42 @@ async def _handle(
         ready, payload = gateway.readiness()
         return (200 if ready else 503), payload, None
     raise _HttpError(404, f"no route {route!r}")
+
+
+async def _handle_request(
+    gateway: "GatewayServer",
+    rtype: str,
+    headers: dict[str, str],
+    body: bytes,
+    seq: int,
+) -> tuple[int, dict, Optional[dict[str, str]]]:
+    """A decide or schema request: the body is one wire line, validated by
+    the same :func:`parse_request` as the JSONL front; a body without a
+    ``type`` is the route's type."""
+    try:
+        request = parse_request(
+            body, seq, default_type=rtype,
+            default_tenant=headers.get("x-repro-tenant", DEFAULT_TENANT),
+        )
+    except ProtocolError as exc:
+        gateway.metrics.count("errors")
+        return 400, error_response(exc.request_id, str(exc)), None
+    if request.type != rtype:
+        gateway.metrics.count("errors")
+        message = f"this route takes a {rtype} request, not {request.type!r}"
+        return 400, error_response(request.id, message), None
+    if rtype == "schema":
+        responses = await gateway.register_schema(request)
+    else:
+        outcome, responses = await gateway.decide(request)
+        if outcome == "rejected":
+            retry_ms = responses[0].get("retry_after_ms", 0) or 0
+            return 429, responses[0], {
+                "Retry-After": str(max(1, math.ceil(retry_ms / 1000)))
+            }
+    first = responses[0] if responses else error_response(request.id, "no response")
+    if first.get("type") == "error":
+        if "shard unavailable" in first.get("error", ""):
+            return 503, first, None
+        return 400, first, None
+    return 200, first, None

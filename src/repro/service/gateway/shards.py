@@ -380,11 +380,8 @@ class _Shard:
             await self._write(envelope)
 
     def _notify_loss(self, dead: bool) -> None:
-        callback = self.fleet.on_worker_loss
-        if callback is None:
-            return
         try:
-            callback(self.id, dead)
+            self.fleet.on_worker_loss(self.id, dead)
         except Exception:  # health bookkeeping must never break recovery
             pass
 
@@ -458,6 +455,7 @@ class ShardFleet:
         self,
         count: int = 2,
         *,
+        on_worker_loss,
         processes: bool = True,
         cache_dir: Union[None, str, Path] = None,
         use_cache: bool = False,
@@ -467,7 +465,6 @@ class ShardFleet:
         metrics: Optional[ServiceMetrics] = None,
         max_respawns: int = 5,
         respawn_backoff_s: float = 0.05,
-        on_worker_loss=None,
     ) -> None:
         if count < 1:
             raise ValueError("a fleet needs at least one shard")
@@ -477,9 +474,8 @@ class ShardFleet:
         self.max_respawns = max_respawns
         self.respawn_backoff_s = respawn_backoff_s
         self.on_worker_loss = on_worker_loss
-        """Optional ``(shard_id, dead: bool)`` callback invoked on the
-        event loop every time a worker is lost — the gateway's health
-        state machine subscribes here."""
+        """``(shard_id, dead: bool)`` callback invoked on the event loop
+        every time a worker is lost — the gateway's health state machine."""
         self.worker_config = {
             "cache_dir": str(cache_dir) if cache_dir is not None else None,
             "use_cache": use_cache,

@@ -26,8 +26,9 @@ a batch's output is byte-deterministic and comparable line-by-line against
 sequential ``is_contained`` calls — the bit-identical contract the E18
 benchmark enforces.
 
-Request validation (query parse, schema resolution, option whitelisting)
-happens at submit time so malformed requests fail fast with an ``error``
+Requests arrive validated (:class:`repro.service.protocol.DecideModel`);
+what needs server state — query parse, ``schema_ref`` resolution — is
+checked at submit time, so malformed requests fail fast with an ``error``
 response and never occupy the queue.  Query texts are *interned*: a
 bounded table maps each text to its parsed :class:`UCRPQ`, so a repeated
 text is parsed, keyed (:func:`repro.core.reduction.query_key` caches on the
@@ -58,8 +59,8 @@ Semantic hits need no serve-time gate either: the lattice replays
 countermodels against the new lhs at lookup time, which *is* the audit.
 
 Resolution is fail-soft: transient infrastructure failures (an OS error,
-an injected fault) are retried with capped exponential
-backoff; anything else answers that one request with a structured
+an injected fault) are retried up to :data:`MAX_RETRIES` times with capped
+exponential backoff; anything else answers that one request with a structured
 ``error`` response while the rest of the batch keeps flowing.  A request
 with a ``timeout_ms`` budget (own or server default) runs under a
 :class:`repro.resilience.Deadline` armed at execution time; a verdict the
@@ -95,8 +96,8 @@ from repro.resilience.deadline import Deadline
 from repro.service.cache import DecisionCache, semantic_group_digest
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
+    DecideModel,
     ProtocolError,
-    Request,
     build_options,
     error_response,
     verdict_response,
@@ -108,6 +109,12 @@ QUERY_INTERN_MAX = 2048
 Matches the compiled-query memo (``compile.query``), so a working set that
 fits the intern table also keeps its compiled matchers."""
 
+MAX_RETRIES = 2
+"""Retries of a transient failure before the request answers an error."""
+
+RETRY_BACKOFF_S = 0.05
+"""First retry's backoff; each further retry doubles it, capped at 1 s."""
+
 _TRANSIENT_ERRORS = (OSError, FaultInjected)
 """Exception classes the scheduler treats as retryable infrastructure
 failures (a transient OS hiccup, an injected fault) as opposed to
@@ -118,7 +125,7 @@ deterministic decision errors."""
 class _Item:
     priority: int
     seq: int
-    request: Request = field(compare=False)
+    request: DecideModel = field(compare=False)
     session: Optional[SchemaSession] = field(compare=False, default=None)
     lhs: Optional[UCRPQ] = field(compare=False, default=None)
     rhs: Optional[UCRPQ] = field(compare=False, default=None)
@@ -136,8 +143,6 @@ class DecisionScheduler:
         cache: Optional[DecisionCache] = None,
         metrics: Optional[ServiceMetrics] = None,
         default_timeout_ms: Optional[int] = None,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.05,
         semantic_cache: bool = True,
         auditor: Optional[VerdictAuditor] = None,
     ) -> None:
@@ -147,8 +152,6 @@ class DecisionScheduler:
         self.default_timeout_ms = default_timeout_ms
         """Wall-clock cap applied to requests without their own
         ``options.timeout_ms``; ``None`` leaves them unbounded."""
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
         self.semantic_cache = semantic_cache
         """Server-level switch for the per-session semantic lattices; a
         request can additionally opt out via ``options.semantic_cache``."""
@@ -169,7 +172,7 @@ class DecisionScheduler:
     # ------------------------------------------------------------- #
     # intake
 
-    def submit(self, request: Request) -> Optional[dict]:
+    def submit(self, request: DecideModel) -> Optional[dict]:
         """Validate and enqueue one decide request.
 
         Returns ``None`` on success or an ``error`` response dict; nothing
@@ -185,7 +188,7 @@ class DecisionScheduler:
         self.metrics.queue_changed(len(self._queue))
         return None
 
-    def _validate(self, request: Request) -> _Item:
+    def _validate(self, request: DecideModel) -> _Item:
         if request.schema_ref is not None:
             session = self.sessions.by_ref(request.schema_ref)
             if session is None:
@@ -272,10 +275,10 @@ class DecisionScheduler:
                 return self._verdict_for(item)
             except _TRANSIENT_ERRORS:
                 attempt += 1
-                if attempt > self.max_retries:
+                if attempt > MAX_RETRIES:
                     raise
                 self.metrics.count("decision_retries")
-                time.sleep(min(1.0, self.retry_backoff_s * (2 ** (attempt - 1))))
+                time.sleep(min(1.0, RETRY_BACKOFF_S * (2 ** (attempt - 1))))
 
     def _verdict_for(self, item: _Item) -> tuple[dict, str]:
         frozen = self._results.get(item.key)

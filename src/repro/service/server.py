@@ -1,33 +1,28 @@
-"""The containment server: JSONL over a pipe or a local Unix socket.
+"""The containment server: JSONL over a pipe.
 
-Two transports, one request loop:
-
-* **pipe mode** (:meth:`ContainmentServer.serve_pipe`) — read requests from
-  an input stream, write responses to an output stream, until end of input.
-  ``repro serve`` with no flags and ``repro batch`` both run this loop
-  (batch feeds it a file instead of stdin).
-* **socket mode** (:meth:`ContainmentServer.serve_socket`) — bind a local
-  ``AF_UNIX`` stream socket and serve connections *sequentially*: each
-  connection speaks the same JSONL protocol, a client's half-close acts as
-  its ``flush``, and sessions / caches / metrics persist across
-  connections.  Sequential accept keeps execution order deterministic; the
-  amortization lives in the shared state, not in connection concurrency.
+:meth:`ContainmentServer.serve_pipe` reads requests from an input stream
+and writes responses to an output stream until end of input or a
+``shutdown`` request.  ``repro serve`` with no listener flag and ``repro
+batch`` both run it (batch feeds it a file instead of stdin).  Every socket
+listener is the gateway's (:mod:`repro.service.gateway`), whose shard
+workers run this class's :meth:`~ContainmentServer.handle_line` — so one
+request loop serves every transport.
 
 Verdict emission is buffered: ``decide`` requests queue in the scheduler
 until a ``flush`` / ``shutdown`` / end-of-input, so the scheduler can
-dedup and priority-order a whole batch before any search runs.  Control
+dedup and priority-order a whole batch before any search runs.  That
+buffering is why the pipe stays sequential and deterministic: verdicts
+drain in priority order and are emitted in arrival order.  Control
 requests (``stats``, ``ping``, ``schema``) answer immediately.
 """
 
 from __future__ import annotations
 
-import socket
-import stat
 from pathlib import Path
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Optional, Union
 
 from repro.obs import REGISTRY, PhaseAggregator, active_collector, install, uninstall
-from repro.resilience.audit import JournalScrubber, VerdictAuditor
+from repro.resilience.audit import VerdictAuditor
 from repro.service.cache import DecisionCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
@@ -43,9 +38,9 @@ from repro.service.sessions import SessionManager
 class StreamState:
     """Per-connection request numbering.
 
-    One instance per stream/connection; ``seq`` feeds default request ids
-    and intra-stream emission order.  Kept deliberately tiny — the gateway
-    allocates one per shard feed and one per client connection."""
+    One instance per stream; ``seq`` feeds default request ids and
+    intra-stream emission order.  Kept deliberately tiny — every gateway
+    shard worker allocates one for its feed."""
 
     __slots__ = ("seq",)
 
@@ -62,39 +57,23 @@ class ContainmentServer:
 
     def __init__(
         self,
-        scheduler: Optional[DecisionScheduler] = None,
         cache_dir: Union[None, str, Path] = None,
         use_cache: bool = True,
         default_timeout_ms: Optional[int] = None,
         semantic_cache: bool = True,
         audit: bool = True,
-        ab_sample_every: int = 64,
-        scrub_interval_s: Optional[float] = None,
     ) -> None:
-        if scheduler is not None:
-            self.scheduler = scheduler
-        else:
-            metrics = ServiceMetrics()
-            cache = DecisionCache(cache_dir, metrics) if use_cache else None
-            auditor = (
-                VerdictAuditor(metrics, ab_sample_every=ab_sample_every)
-                if audit
-                else None
-            )
-            self.scheduler = DecisionScheduler(
-                SessionManager(metrics),
-                cache, metrics,
-                default_timeout_ms=default_timeout_ms,
-                semantic_cache=semantic_cache,
-                auditor=auditor,
-            )
-        self.metrics = self.scheduler.metrics
+        metrics = ServiceMetrics()
+        self.scheduler = DecisionScheduler(
+            SessionManager(metrics),
+            DecisionCache(cache_dir, metrics) if use_cache else None,
+            metrics,
+            default_timeout_ms=default_timeout_ms,
+            semantic_cache=semantic_cache,
+            auditor=VerdictAuditor(metrics) if audit else None,
+        )
+        self.metrics = metrics
         self.sessions = self.scheduler.sessions
-        self.scrubber: Optional[JournalScrubber] = None
-        if scrub_interval_s is not None and self.scheduler.cache is not None:
-            self.scrubber = JournalScrubber(
-                self.scheduler.cache, self.metrics, interval_s=scrub_interval_s
-            )
         self._default_stream = StreamState()
 
     # ------------------------------------------------------------- #
@@ -103,8 +82,8 @@ class ContainmentServer:
     def new_stream(self) -> "StreamState":
         """A fresh per-connection request counter.
 
-        Each stream (pipe conversation, socket connection, gateway shard
-        feed) numbers its requests independently, so two concurrent clients
+        Each stream (pipe conversation, gateway shard feed) numbers its
+        requests independently, so two concurrent clients
         get stable default ids (``req-1``, ``req-2``, ...) and deterministic
         intra-stream emission order without sharing a mutable counter."""
         return StreamState()
@@ -180,16 +159,21 @@ class ContainmentServer:
                 payload["audit"]["seconds"] = round(
                     self.scheduler.auditor.seconds, 6
                 )
-            if self.scrubber is not None:
-                payload["audit"]["scrub_passes"] = self.scrubber.passes
         return payload
 
     # ------------------------------------------------------------- #
-    # transports
+    # pipe transport
 
-    def _run_stream(self, lines: Iterable[str], out_stream: IO[str]) -> bool:
-        """Drive the loop over ``lines``; returns True on explicit shutdown.
-        End of input drains the scheduler (implicit flush)."""
+    def serve_pipe(self, in_stream: IO[str], out_stream: IO[str]) -> None:
+        """Serve one JSONL conversation from stream to stream, until end of
+        input (an implicit flush) or a ``shutdown`` request.
+
+        Per-phase span timings are aggregated for the loop's lifetime
+        (bounded memory: counts + totals only, surfaced via ``stats``); an
+        already-installed collector — e.g. a benchmark's tracer — wins."""
+        installed = active_collector() is None
+        if installed:
+            install(PhaseAggregator())
         stream = self.new_stream()
 
         def emit(responses: list[dict]) -> None:
@@ -198,107 +182,16 @@ class ContainmentServer:
             out_stream.flush()
 
         try:
-            for line in lines:
+            for line in in_stream:
                 responses, stop = self.handle_line(line, stream)
                 emit(responses)
                 if stop:
-                    return True
+                    return
+            emit(self.scheduler.drain())
         except KeyboardInterrupt:
             # graceful shutdown: drain buffered work, emit, then stop
             self.metrics.count("interrupted")
             emit(self.scheduler.drain())
-            return True
-        emit(self.scheduler.drain())
-        return False
-
-    def serve_pipe(self, in_stream: IO[str], out_stream: IO[str]) -> None:
-        """Serve one JSONL conversation from stream to stream."""
-        installed = self._install_aggregator()
-        if self.scrubber is not None:
-            self.scrubber.start()
-        try:
-            self._run_stream(in_stream, out_stream)
         finally:
-            if self.scrubber is not None:
-                self.scrubber.stop()
             if installed:
                 uninstall()
-
-    @staticmethod
-    def _install_aggregator() -> bool:
-        """Aggregate per-phase span timings for the serve loop's lifetime
-        (bounded memory: counts + totals only, surfaced via ``stats``).
-        An already-installed collector — e.g. a benchmark's tracer — wins."""
-        if active_collector() is not None:
-            return False
-        install(PhaseAggregator())
-        return True
-
-    def _remove_stale_socket(self, socket_path: Path) -> None:
-        """Unlink a socket file a previously crashed server left behind.
-
-        Only actual sockets are removed: binding over a regular file or a
-        directory almost certainly means a mistyped path, and silently
-        deleting user data to grab it would be far worse than failing.
-
-        The lstat → unlink window races against any other server starting
-        on the same path: whoever unlinks second sees ``FileNotFoundError``,
-        which counts as success — the stale file is gone either way."""
-        try:
-            mode = socket_path.lstat().st_mode
-        except FileNotFoundError:
-            return
-        if not stat.S_ISSOCK(mode):
-            raise OSError(
-                f"refusing to remove {socket_path}: exists and is not a socket"
-            )
-        try:
-            socket_path.unlink()
-        except FileNotFoundError:
-            return
-        self.metrics.count("stale_socket_removed")
-
-    def serve_socket(self, path: Union[str, Path]) -> None:
-        """Serve connections on a local Unix socket until a client sends
-        ``shutdown``.  Connections are handled one at a time; state (schema
-        sessions, persistent cache, metrics) is shared across them."""
-        socket_path = Path(path)
-        self._remove_stale_socket(socket_path)
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        installed = self._install_aggregator()
-        if self.scrubber is not None:
-            self.scrubber.start()
-        try:
-            listener.bind(str(socket_path))
-            listener.listen(8)
-            stop = False
-            while not stop:
-                try:
-                    conn, _ = listener.accept()
-                except KeyboardInterrupt:
-                    self.metrics.count("interrupted")
-                    break
-                with conn:
-                    reader = conn.makefile("r", encoding="utf-8")
-                    writer = conn.makefile("w", encoding="utf-8")
-                    try:
-                        stop = self._run_stream(reader, writer)
-                    except (BrokenPipeError, ConnectionResetError):
-                        self.metrics.count("connections_dropped")
-                    finally:
-                        self.metrics.count("connections")
-                        # the makefile wrappers hold the socket fd open past
-                        # conn.close(); close them or the client never sees EOF
-                        for stream in (writer, reader):
-                            try:
-                                stream.close()
-                            except OSError:
-                                pass
-        finally:
-            if self.scrubber is not None:
-                self.scrubber.stop()
-            if installed:
-                uninstall()
-            listener.close()
-            if socket_path.exists():
-                socket_path.unlink()

@@ -11,6 +11,8 @@ import json
 import pytest
 
 from repro.service.gateway import GatewayConfig, GatewayServer, TenantQuota
+from repro.service.gateway.gateway import _Connection
+from repro.service.protocol import REQUEST_TYPES
 from repro.service.server import ContainmentServer
 
 
@@ -288,6 +290,53 @@ def test_backend_option_is_unknown_and_keeps_the_request_id():
             await gateway.stop()
 
     run(scenario())
+
+
+class _CapturingWriter:
+    """Stands in for a client connection's stream writer."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, payload):
+        self.data += payload
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_junk_request_types_add_no_counters():
+    """Regression: the JSONL front counted ``requests_<type>`` before it
+    checked the type, so every distinct client-chosen type added a counter
+    (1,000 junk types made 1,000 of them).  Only known types count; the
+    rest are errors that keep their ``id``."""
+
+    async def scenario():
+        gateway = make_gateway()
+        writer = _CapturingWriter()
+        conn = _Connection(writer)
+        for n in range(1000):
+            line = json.dumps({"type": f"junk-{n}", "id": f"j{n}"})
+            await gateway._handle_wire_line(line.encode() + b"\n", conn)
+        await gateway._handle_wire_line(b'{"type": "ping", "id": "p"}\n', conn)
+        return gateway, writer
+
+    gateway, writer = run(scenario())
+    responses = [json.loads(line) for line in writer.data.decode().splitlines()]
+    assert responses[:-1] == [
+        {"type": "error", "id": f"j{n}", "error": f"unknown request type 'junk-{n}'"}
+        for n in range(1000)
+    ]
+    assert responses[-1] == {"type": "pong", "id": "p"}
+    counters = gateway.metrics.snapshot()["counters"]
+    request_counters = {name for name in counters if name.startswith("requests_")}
+    assert request_counters == {"requests_ping"}
+    assert request_counters <= {f"requests_{rtype}" for rtype in REQUEST_TYPES}
+    assert counters["errors"] == 1000
+    assert counters["requests"] == 1001
 
 
 def test_unknown_schema_ref_is_a_structured_error():

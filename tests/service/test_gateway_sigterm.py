@@ -16,24 +16,28 @@ pytestmark = pytest.mark.gateway_mp
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
-def start_gateway(tmp_path, extra_env=None):
+def serve(tmp_path, listener, extra_env=None):
+    """``repro serve`` with one forked shard on ``listener`` (CLI flags)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC
     env.pop("REPRO_FAULTS", None)
     if extra_env:
         env.update(extra_env)
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--tcp", "127.0.0.1:0", "--shards", "1",
-            "--cache-dir", str(tmp_path / "cache"),
+            sys.executable, "-m", "repro.cli", "serve", *listener,
+            "--shards", "1", "--cache-dir", str(tmp_path / "cache"),
         ],
         env=env,
         stderr=subprocess.PIPE,
         text=True,
     )
-    # the CLI prints "repro gateway: 1 shard(s) on tcp:127.0.0.1:PORT"
+
+
+def start_gateway(tmp_path, extra_env=None):
+    proc = serve(tmp_path, ["--tcp", "127.0.0.1:0"], extra_env)
     line = proc.stderr.readline()
+    # the CLI prints "repro gateway: 1 shard(s) on tcp:127.0.0.1:PORT"
     assert "tcp:" in line, f"unexpected gateway banner: {line!r}"
     port = int(line.rsplit(":", 1)[1])
     return proc, port
@@ -117,3 +121,41 @@ def test_idle_sigterm_drain_exits_zero(tmp_path):
     proc.send_signal(signal.SIGTERM)
     assert proc.wait(timeout=30) == 0
     proc.stderr.close()
+
+
+def test_serve_socket_alone_is_the_gateway_and_drains(tmp_path):
+    """``repro serve --socket PATH`` with no other listener flag starts the
+    gateway's unix listener: it answers a decide that SIGTERM caught in
+    flight (drain), exits 0, and the exit removes the socket file."""
+    path = tmp_path / "repro.sock"
+    # a one-shot delay holds the first decision in the shard while the
+    # process is told to stop
+    proc = serve(
+        tmp_path, ["--socket", str(path)],
+        {"REPRO_FAULTS": "scheduler.dispatch:delay:1:1.0"},
+    )
+
+    async def scenario():
+        reader, writer = await asyncio.open_unix_connection(str(path))
+        writer.write((json.dumps({
+            "type": "decide", "id": "slow", "lhs": "A(x)", "rhs": "B(x)",
+        }) + "\n").encode())
+        await writer.drain()
+        await asyncio.sleep(0.3)
+        proc.send_signal(signal.SIGTERM)
+        slow = json.loads(await asyncio.wait_for(reader.readline(), timeout=30))
+        assert slow["type"] == "verdict" and slow["id"] == "slow"
+        assert slow["verdict"]["contained"] is False
+        writer.close()
+
+    try:
+        banner = proc.stderr.readline()
+        assert banner.strip() == f"repro gateway: 1 shard(s) on unix:{path}"
+        asyncio.run(scenario())
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert not path.exists()

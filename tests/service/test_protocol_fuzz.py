@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.protocol import ProtocolError, parse_request
+from repro.service.protocol import MAX_TIMEOUT_MS, ProtocolError, parse_request
 from repro.service.server import ContainmentServer
 
 
@@ -28,8 +28,13 @@ class TestBudgetValidation:
         with pytest.raises(ProtocolError, match=name):
             parse_request(line, 1)
 
-    @pytest.mark.parametrize("name", ["max_nodes", "max_steps", "timeout_ms"])
-    @pytest.mark.parametrize("good", [0, 1, 250, 10**9])
+    # timeout_ms is capped at MAX_TIMEOUT_MS (24 h); the other budgets only
+    # need to be non-negative integers
+    @pytest.mark.parametrize("good,name", [
+        (good, name)
+        for name in ("max_nodes", "max_steps", "timeout_ms")
+        for good in (0, 1, 250, MAX_TIMEOUT_MS if name == "timeout_ms" else 10**9)
+    ])
     def test_good_budget_accepted(self, name, good):
         line = json.dumps({
             "type": "decide", "id": "x", "lhs": "A(x)", "rhs": "A(x)",

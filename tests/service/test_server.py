@@ -1,12 +1,12 @@
-"""The wire transports: pipe conversations and the local socket mode."""
+"""The wire transports: pipe conversations and the unix socket listener."""
 
+import asyncio
 import io
 import json
-import socket
-import threading
 
 from repro.dl.tbox import TBox
 from repro.io import tbox_to_dict
+from repro.service.gateway import GatewayConfig, GatewayServer
 from repro.service.metrics import ServiceMetrics, percentile
 from repro.service.server import ContainmentServer
 
@@ -130,49 +130,54 @@ class TestPipeMode:
 
 
 class TestSocketMode:
+    """``repro serve --socket`` is the gateway's unix listener; the
+    closest single-process setup is one thread-mode shard."""
+
     def test_two_connections_share_state(self, tmp_path):
-        server = _server(tmp_path)
         path = tmp_path / "repro.sock"
-        thread = threading.Thread(target=server.serve_socket, args=(path,), daemon=True)
-        thread.start()
+        gateway = GatewayServer(GatewayConfig(
+            shards=1, processes=False, use_cache=True, cache_dir=tmp_path,
+        ))
 
-        def talk(requests):
-            for _ in range(200):
-                try:
-                    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    client.connect(str(path))
-                    break
-                except (FileNotFoundError, ConnectionRefusedError):
-                    client.close()
-                    threading.Event().wait(0.01)
-            else:
-                raise AssertionError("server socket never came up")
-            with client:
-                client.sendall(
-                    ("\n".join(json.dumps(r) for r in requests) + "\n").encode()
-                )
-                client.shutdown(socket.SHUT_WR)
-                data = b""
-                while chunk := client.recv(65536):
-                    data += chunk
-            return [json.loads(line) for line in data.decode().splitlines()]
+        async def talk(requests):
+            reader, writer = await asyncio.open_unix_connection(str(path))
+            for request in requests:
+                writer.write((json.dumps(request) + "\n").encode())
+            await writer.drain()
+            responses = [
+                json.loads(await asyncio.wait_for(reader.readline(), 30))
+                for _ in requests
+            ]
+            writer.close()
+            await writer.wait_closed()
+            return responses
 
-        first = talk([
-            {"type": "decide", "id": "a", "lhs": "Customer(x), owns(x,y)",
-             "rhs": "owns(x,y), CredCard(y)", "schema": _tbox_dict()},
-        ])
-        second = talk([
-            {"type": "decide", "id": "b", "lhs": "Customer(x), owns(x,y)",
-             "rhs": "owns(x,y), CredCard(y)", "schema": _tbox_dict()},
-            {"type": "shutdown", "id": "end"},
-        ])
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+        async def scenario():
+            await gateway.start()
+            try:
+                await gateway.start_unix(path)
+                first = await talk([
+                    {"type": "decide", "id": "a", "lhs": "Customer(x), owns(x,y)",
+                     "rhs": "owns(x,y), CredCard(y)", "schema": _tbox_dict()},
+                ])
+                second = await talk([
+                    {"type": "decide", "id": "b", "lhs": "Customer(x), owns(x,y)",
+                     "rhs": "owns(x,y), CredCard(y)", "schema": _tbox_dict()},
+                    {"type": "shutdown", "id": "end"},
+                ])
+                # a client's shutdown ends its own connection only
+                third = await talk([{"type": "ping", "id": "still-up"}])
+                return first, second, third
+            finally:
+                await gateway.stop()
+
+        first, second, third = asyncio.run(scenario())
         assert first[0]["type"] == "verdict" and first[0]["source"] == "computed"
         # the second connection collapses onto the first connection's work
-        assert second[0]["source"] == "dedup"
+        assert second[0]["id"] == "b" and second[0]["source"] == "dedup"
         assert second[0]["verdict"] == first[0]["verdict"]
-        assert second[-1]["type"] == "bye"
+        assert second[-1] == {"type": "bye", "id": "end"}
+        assert third == [{"type": "pong", "id": "still-up"}]
         assert not path.exists()
 
 
