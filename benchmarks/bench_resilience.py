@@ -8,9 +8,10 @@ wrong.  This experiment quantifies that, following the E19 methodology:
   ``Deadline.poll()`` on an *armed* far-future deadline (the worst
   non-expiring case: decrement + compare, one clock read per stride).
   Multiplied by the chase steps the workload actually executes
-  (``search.steps`` counter) and divided by its baseline wall time, that
-  bounds the overhead a live deadline adds.  Asserted under 3% on the E5
-  largest row and the E7 n=128 sweep point.
+  (``search.steps`` counter) and divided by its baseline wall time (the
+  median of ``TIMED_CALLS`` calls), that bounds the overhead a live
+  deadline adds.  Asserted under 3% on the E5 largest row and the E7 n=128
+  sweep point.
 * **bit-identity** — running the same workload with no deadline, with
   ``Deadline.never()``, and with a far-future armed deadline must produce
   identical outcome fingerprints: a deadline that never fires never
@@ -25,6 +26,7 @@ identity divergence or overhead breach.
 """
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -44,6 +46,9 @@ from repro.resilience import Deadline
 OVERHEAD_BUDGET_PCT = 3.0
 
 FAR_FUTURE_MS = 3_600_000  # armed but never expiring within any run
+
+TIMED_CALLS = 5
+"""Timed calls per row; the row's baseline is their median."""
 
 
 # --------------------------------------------------------------------- #
@@ -117,14 +122,21 @@ def _chase_steps(run) -> tuple[object, float, int]:
 
 
 def measure_workload(name, run, cost_ns):
-    """One row: baseline timing + step census, deadline-variant identity."""
+    """One row: median baseline timing over ``TIMED_CALLS`` calls + step
+    census, deadline-variant identity."""
     run()  # warm caches (compiled matchers, memos) out of the measurement
-    baseline_print, baseline_s, steps = _chase_steps(run)
+    samples = [_chase_steps(run) for _ in range(TIMED_CALLS)]
+    baseline_print = samples[0][0]
+    baseline_s = statistics.median(elapsed for _print, elapsed, _steps in samples)
+    steps = max(steps for _print, _elapsed, steps in samples)
     never_print = run(deadline=Deadline.never())
     armed_print = run(deadline=Deadline.after_ms(FAR_FUTURE_MS))
 
     est_pct = steps * cost_ns / (baseline_s * 1e9) * 100.0
-    identical = baseline_print == never_print == armed_print
+    identical = (
+        all(print_of == baseline_print for print_of, _elapsed, _steps in samples)
+        and baseline_print == never_print == armed_print
+    )
     row = [
         name,
         f"{baseline_s * 1000:.1f}ms",

@@ -36,10 +36,9 @@ from itertools import chain, combinations_with_replacement, product
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from repro.core.entailment import realizable_type
 from repro.core.search import SearchLimits
-from repro.dl.fragments import ALCQFactorization, alcq_factorization
-from repro.dl.normalize import AtLeastCI, NormalizedTBox
+from repro.dl.fragments import alcq_factorization
+from repro.dl.normalize import NormalizedTBox
 from repro.dl.types import clause_consistent
 from repro.graphs.graph import Graph, single_node_graph
 from repro.graphs.labels import NodeLabel, Role
@@ -54,13 +53,6 @@ from repro.resilience.deadline import Deadline
 
 if TYPE_CHECKING:
     from repro.kernel.vec_fixpoint import PsiMaskAnswer
-
-VEC_SCAN_MIN_CANDIDATES = 512
-"""Smallest connector pick space the vec scanner engages on.  Below this
-the column setup costs more than the scalar loop it replaces; the verdict
-and counters are identical either way, so the threshold is purely a
-performance knob."""
-
 
 class ProcedureInfeasible(RuntimeError):
     """A type space or connector space exceeded the configured guard."""
@@ -110,7 +102,8 @@ class TwoWayResult:
     complete: bool
     recursion_depth: int
     stats: dict = field(default_factory=dict)
-    """Pipeline-wide counters: types checked, memo hits, stars materialized."""
+    """Pipeline-wide counters: types checked, memo hits, and connector picks
+    examined (``witnesses_materialized``)."""
     backend: str = "bitset"
     """Which kernel backend the outermost fixpoint ran on."""
     survivors: Optional[frozenset] = None
@@ -236,19 +229,6 @@ def _build_star(center: Type, leaves: Sequence[tuple[Role, Type]]) -> Graph:
     return star
 
 
-def _positive_atom_names(refute: UCRPQ) -> list[frozenset[str]]:
-    """Per disjunct: the names its positive concept atoms demand somewhere
-    on a matching star (the vec scanner's sound refutation prefilter)."""
-    return [
-        frozenset(
-            atom.label.name
-            for atom in disjunct.concept_atoms
-            if not atom.label.negated
-        )
-        for disjunct in refute
-    ]
-
-
 def _connector_exists(
     center: Type,
     pool: Iterable[Type],
@@ -262,7 +242,6 @@ def _connector_exists(
     order: Optional[dict] = None,
     counters: Optional[dict] = None,
     deadline: Optional[Deadline] = None,
-    backend: str = "bitset",
 ) -> bool:
     """Search for a connector: centre + leaves wired by ``roles``, centre
     satisfying T_c, the star refuting the query.
@@ -273,14 +252,16 @@ def _connector_exists(
     on the candidate star via :meth:`NormalizedTBox.complete` before the
     centre's CIs are checked, so the check evaluates the original T_c.
 
+    Each pick runs the cheapest exact test first.  Adding nodes and edges
+    keeps every match of the query (no existing node's labels change), so a
+    pick holding a leaf that matches the query together with the centre
+    alone cannot refute it; the raw star's query test comes next, and only
+    a refuting star is completed and checked against T_c.  The first
+    accepted pick, and so the verdict, is the one the CI-check-first order
+    finds.  ``counters["witnesses_materialized"]`` counts picks examined.
+
     ``order`` is an optional precomputed ``{type: str(type)}`` map so the
     candidate ordering does not re-render every type on every call.
-
-    With ``backend="vec"`` large pick spaces run on the
-    :class:`~repro.kernel.vec_fixpoint.ConnectorVecScanner` — same
-    enumeration order, first-success index, verdict, and examined-pick
-    count as the scalar loop, with the CI check and most query
-    refutations answered by bulk column ops.
     """
     memo_key = None
     if memo is not None:
@@ -310,9 +291,9 @@ def _connector_exists(
             or (filler.negated and filler.name not in theta.signature())
         ])
 
-    # guard the pick space *before* materializing any bundle list (or the
-    # scanner's column matrices): one bundle list per pair holds the empty
-    # bundle plus every multiset of up to max_leaves candidates
+    # guard the pick space *before* materializing any bundle list: one
+    # bundle list per pair holds the empty bundle plus every multiset of up
+    # to max_leaves candidates
     total = 1
     for candidates in per_pair:
         n = len(candidates)
@@ -328,45 +309,30 @@ def _connector_exists(
                 bundles.append(tuple((role, theta) for theta in combo))
         options.append(bundles)
 
-    def poll() -> None:
-        if deadline is not None and deadline.poll():
-            raise _DeadlineCut()
+    matched_alone: dict[tuple[Role, Type], bool] = {}
 
-    if (
-        backend == "vec"
-        and total >= VEC_SCAN_MIN_CANDIDATES
-        and not any(role.inverted for role in roles)
-    ):
-        from repro.kernel import vec_fixpoint
-
-        if vec_fixpoint.HAVE_NUMPY and vec_fixpoint.connector_scan_supported(
-            connectors_tbox
-        ):
-            scanner = vec_fixpoint.ConnectorVecScanner(
-                center, [role for role, _filler in pairs], options, connectors_tbox
-            )
-            found = scanner.scan(
-                _positive_atom_names(refute),
-                lambda leaves: satisfies_union(_build_star(center, leaves), refute),
-                poll=poll,
-                counters=counters,
-            )
-            if memo is not None:
-                memo[memo_key] = found
-            return found
+    def matches_alone(leaf: tuple[Role, Type]) -> bool:
+        hit = matched_alone.get(leaf)
+        if hit is None:
+            hit = satisfies_union(_build_star(center, [leaf]), refute)
+            matched_alone[leaf] = hit
+        return hit
 
     centre_node = ("c", 0)
     found = False
     for pick in product(*options) if options else [()]:
-        poll()
-        leaves: list[tuple[Role, Type]] = [leaf for bundle in pick for leaf in bundle]
-        star = _build_star(center, leaves)
+        if deadline is not None and deadline.poll():
+            raise _DeadlineCut()
         if counters is not None:
             counters["witnesses_materialized"] += 1
+        leaves: list[tuple[Role, Type]] = [leaf for bundle in pick for leaf in bundle]
+        if any(matches_alone(leaf) for leaf in leaves):
+            continue
+        star = _build_star(center, leaves)
+        if satisfies_union(star, refute):
+            continue
         completed = connectors_tbox.complete(star)
         if not all(ci.holds_at(completed, centre_node) for ci in connectors_tbox.all_cis()):
-            continue
-        if satisfies_union(star, refute):
             continue
         found = True
         break
@@ -571,7 +537,6 @@ def _p1_fixpoint(
             max_leaves, config.max_connector_candidates,
             memo=config.memo, refute_tag=f"P1:{sorted(sigma0)}",
             order=str_key, counters=config.counters, deadline=deadline,
-            backend=chosen,
         )
 
     # least fixpoint over a growing Ψ with exact oracles: both checks are
@@ -758,7 +723,6 @@ def _p2_fixpoint(
                 config.max_connector_candidates,
                 memo=config.memo, refute_tag="P2",
                 order=str_key, counters=config.counters, deadline=deadline,
-                backend=chosen,
             )
             if ok:
                 survivors.add(sigma)

@@ -257,9 +257,8 @@ class JournalScrubber:
     the report dict — the payload of ``repro cache scrub``.
     """
 
-    def __init__(self, cache, metrics=None) -> None:
+    def __init__(self, cache) -> None:
         self.cache = cache
-        self.metrics = metrics
         self.passes = 0
 
     def scrub_once(self) -> dict:
@@ -293,8 +292,6 @@ class JournalScrubber:
                     self.cache.quarantine_semantic(group, lhs_text, f"scrub.{reason}")
                     REGISTRY.inc("audit.scrub.record_quarantined")
                     sem_quarantined += 1
-        if self.metrics is not None and (quarantined or sem_quarantined):
-            self.metrics.count("audit_scrub_quarantined", quarantined + sem_quarantined)
         return {
             "decision_records": checked,
             "decision_quarantined": quarantined,

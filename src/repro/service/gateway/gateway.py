@@ -161,7 +161,7 @@ class GatewayServer:
         self._queue_events = [asyncio.Event() for _ in range(self.config.shards)]
         self._dispatchers: list[asyncio.Task] = []
         self._servers: list[asyncio.base_events.Server] = []
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._unix_paths: list[Path] = []
         self._ref_keys: dict[str, str] = {}
         self._started = False
@@ -206,13 +206,14 @@ class GatewayServer:
             except FileNotFoundError:
                 pass
         self._unix_paths = []
-        # connection handlers park on readline; cancel and await them so
-        # nothing is destroyed while pending
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
+        # connection handlers park on readline: aborting each transport
+        # hands them EOF, so every handler ends on its own (a cancelled
+        # stream handler makes asyncio log an error) and is awaited here
+        for writer in list(self._connections.values()):
+            writer.transport.abort()
+        if self._connections:
+            await asyncio.gather(*list(self._connections), return_exceptions=True)
+        self._connections.clear()
         for task in self._dispatchers:
             task.cancel()
         for task in self._dispatchers:
@@ -303,10 +304,7 @@ class GatewayServer:
         """One client connection; never raises into the accept loop."""
         conn = _Connection(writer)
         self.metrics.count("connections")
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+        self._track_connection(writer)
         try:
             while True:
                 try:
@@ -332,10 +330,19 @@ class GatewayServer:
         except (ConnectionResetError, BrokenPipeError, OSError):
             conn.dropped = True
         except asyncio.CancelledError:
-            # gateway stop: close out quietly, not a client-caused drop
+            # cancelled from outside (event-loop teardown): close out
+            # quietly, not a client-caused drop
             conn.alive = False
         finally:
             await asyncio.shield(self._finish_connection(conn))
+
+    def _track_connection(self, writer: asyncio.StreamWriter) -> None:
+        """Register the running connection handler so :meth:`stop` can end
+        it by aborting its transport."""
+        task = asyncio.current_task()
+        if task is not None:
+            self._connections[task] = writer
+            task.add_done_callback(lambda done: self._connections.pop(done, None))
 
     async def _finish_connection(self, conn: _Connection) -> None:
         # outstanding decisions still complete (and release admission);

@@ -150,10 +150,7 @@ async def serve_http_connection(
     gateway.metrics.count("http_connections")
     dropped = False
     seq = 0
-    task = asyncio.current_task()
-    if task is not None:
-        gateway._conn_tasks.add(task)
-        task.add_done_callback(gateway._conn_tasks.discard)
+    gateway._track_connection(writer)
     try:
         while True:
             try:
@@ -199,7 +196,7 @@ async def serve_http_connection(
             if not keep_alive:
                 break
     except asyncio.CancelledError:
-        pass  # gateway stop, not a client drop
+        pass  # event-loop teardown, not a client drop
     finally:
         if dropped:
             gateway.metrics.count("connections_dropped")

@@ -65,6 +65,10 @@ _ENVELOPE_LIMIT = 16 * 1024 * 1024
 """Stream reader line limit for shard envelopes (a schema broadcast can
 carry a few thousand CIs; verdict countermodels can be large)."""
 
+RESPAWN_BACKOFF_S = 0.05
+"""First respawn delay after a worker loss; it doubles per loss of the
+same shard, capped at 1 s."""
+
 KILL_SITE = "gateway.shard.handle"
 """Fault site fired by the worker loop around each envelope; its
 ``kill_worker`` action takes the whole worker down (``os._exit`` in
@@ -366,7 +370,7 @@ class _Shard:
             )
             return
         self._notify_loss(dead=False)
-        backoff = min(1.0, self.fleet.respawn_backoff_s * (2 ** (self.respawns - 1)))
+        backoff = min(1.0, RESPAWN_BACKOFF_S * (2 ** (self.respawns - 1)))
         await asyncio.sleep(backoff)
         await self._spawn()
         # a fresh worker has no sessions: replay every schema registration
@@ -464,7 +468,6 @@ class ShardFleet:
         audit: bool = True,
         metrics: Optional[ServiceMetrics] = None,
         max_respawns: int = 5,
-        respawn_backoff_s: float = 0.05,
     ) -> None:
         if count < 1:
             raise ValueError("a fleet needs at least one shard")
@@ -472,7 +475,6 @@ class ShardFleet:
         self.processes = processes
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_respawns = max_respawns
-        self.respawn_backoff_s = respawn_backoff_s
         self.on_worker_loss = on_worker_loss
         """``(shard_id, dead: bool)`` callback invoked on the event loop
         every time a worker is lost — the gateway's health state machine."""

@@ -1,6 +1,8 @@
 """Section 6: the two-way pipeline (reachability relativization, counter
 factorization, role-alternating frames, role-elimination recursion)."""
 
+from itertools import combinations_with_replacement, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from repro.core.twoway import (
     ProcedureInfeasible,
     TwoWayConfig,
     _base_case_types,
+    _build_star,
+    _connector_exists,
     _enumerate_types,
     _signature_names,
     drop_reachability,
@@ -236,3 +240,102 @@ def test_e22_base_instance_pinned(backend):
         "types_checked": 84, "cache_hits": 70, "witnesses_materialized": 1448,
     }
     assert len(result.survivors) == 12
+
+
+def _connector_exists_reference(
+    center, pool, connectors_tbox, refute, roles, max_leaves, counters
+):
+    """Reference for the connector search: every pick's star is completed
+    and checked against T_c at the centre before the query is tested, with
+    no leaf screen."""
+    allowed = set(roles)
+    pairs = []
+    for ci in connectors_tbox.at_leasts:
+        if ci.role in allowed and (ci.role, ci.filler) not in pairs:
+            pairs.append((ci.role, ci.filler))
+    options = []
+    for role, filler in pairs:
+        candidates = [
+            theta
+            for theta in sorted(pool, key=str)
+            if filler in theta
+            or (filler.negated and filler.name not in theta.signature())
+        ]
+        bundles = [()]
+        for k in range(1, max_leaves + 1):
+            for combo in combinations_with_replacement(candidates, k):
+                bundles.append(tuple((role, theta) for theta in combo))
+        options.append(bundles)
+    for pick in product(*options):
+        counters["witnesses_materialized"] += 1
+        star = _build_star(center, [leaf for bundle in pick for leaf in bundle])
+        completed = connectors_tbox.complete(star)
+        if not all(
+            ci.holds_at(completed, ("c", 0)) for ci in connectors_tbox.all_cis()
+        ):
+            continue
+        if satisfies_union(star, refute):
+            continue
+        return True
+    return False
+
+
+CONNECTOR_TBOXES = {
+    "at_least": [("A", ">=1 r.B")],
+    "counting_fresh": [("A", ">=2 r.B"), ("B", "C"), ("C", "<=2 r.B")],
+    "universal": [("A", ">=1 r.B"), ("A", "forall r.C")],
+    "disjunctive_filler": [("A", ">=1 r.(B | C)")],
+    "two_roles": [("A", ">=1 r.B"), ("A", ">=1 s.C")],
+    "inverse_at_least": [("A", ">=1 r-.B")],
+    "forall_in_filler": [("A", ">=1 r.(B & forall r.C)")],
+}
+
+CONNECTOR_QUERIES = [
+    "A(x), r(x,y), !C(y)",  # a negated label
+    "B(x), r-(x,y)",  # an inverse path
+    "A(x), r*(x,y), C(y)",  # a starred path (matches the centre alone)
+    "C(x); A(x), r(x,y), B(y)",  # a union
+    "A(x)",  # the centre alone
+    "!A(x), s(y,x), C(x)",  # the second role
+]
+
+
+@st.composite
+def connector_inputs(draw):
+    """A TBox shape as T_c, a query to refute, the roles the connector
+    wires, a centre and a pool of maximal types over the TBox's names
+    (fresh ones included) and the query's."""
+    tbox = normalize(
+        TBox.of(CONNECTOR_TBOXES[draw(st.sampled_from(sorted(CONNECTOR_TBOXES)))])
+    )
+    refute = parse_query(draw(st.sampled_from(CONNECTOR_QUERIES)))
+    wired = sorted({ci.role for ci in tbox.at_leasts}, key=str)
+    roles = draw(st.lists(st.sampled_from(wired), min_size=1, unique=True))
+    types = list(maximal_types(tbox.concept_names() | refute.node_label_names()))
+    center = draw(st.sampled_from(types))
+    pool = draw(st.lists(st.sampled_from(types), max_size=4, unique=True))
+    max_leaves = draw(st.integers(min_value=1, max_value=2))
+    return center, pool, tbox, refute, roles, max_leaves
+
+
+@settings(max_examples=300, deadline=None)
+@given(connector_inputs())
+def test_connector_exists_matches_reference(instance):
+    """Screening out picks with a leaf that matches the query next to the
+    centre, and testing the raw star before completing it, finds the same
+    connector after the same number of examined picks as checking T_c
+    first on every pick."""
+    center, pool, tbox, refute, roles, max_leaves = instance
+    expected_counters = {"witnesses_materialized": 0}
+    expected = _connector_exists_reference(
+        center, pool, tbox, refute, roles, max_leaves, expected_counters
+    )
+    counters = {"witnesses_materialized": 0, "cache_hits": 0}
+    found = _connector_exists(
+        center, pool, tbox, refute, roles, max_leaves,
+        max_candidates=500_000, counters=counters,
+    )
+    assert (found, counters["witnesses_materialized"]) == (
+        expected, expected_counters["witnesses_materialized"]
+    )
+

@@ -1,13 +1,12 @@
-"""Connector vec scanner + batched-oracle plumbing.
+"""Connector search guard + vec backend plumbing.
 
-Covers: scan order/verdict/examined-pick equality against the scalar
-connector loop, the eager candidate-space guard (fires before any column
-matrix is allocated), the backend-downgrade reason counters, and the
-negated-counter end-to-end acceptance run (`TwoWayResult.backend == "vec"`
-with `kernel.backend.fallback.negated_counters` untouched).
+Covers: the eager connector-space guard (fires before any bundle list is
+built), the counting-TBox end-to-end run whose T_c carries fresh-name
+definitions (bitset and vec identical), the backend-downgrade reason
+counters, and the negated-counter end-to-end acceptance run
+(`TwoWayResult.backend == "vec"` with
+`kernel.backend.fallback.negated_counters` untouched).
 """
-
-import itertools
 
 import pytest
 
@@ -21,17 +20,11 @@ from repro.core.twoway import (
     _resolve_with_reason,
     realizable_refuting_twoway,
 )
-from repro.dl.normalize import (
-    AtLeastCI,
-    AtMostCI,
-    NormalizedTBox,
-    UniversalCI,
-    normalize,
-)
+from repro.dl.normalize import AtLeastCI, NormalizedTBox, normalize
 from repro.dl.tbox import TBox
 from repro.graphs.labels import NodeLabel, Role
 from repro.graphs.types import Type
-from repro.kernel import vec, vec_fixpoint
+from repro.kernel import vec
 from repro.kernel.vec import HAVE_NUMPY, VEC_MAX_ROWS, resolve_backend
 from repro.obs import REGISTRY, counter_delta
 from repro.queries.parser import parse_query
@@ -52,93 +45,36 @@ def _maximal_pool():
     ]
 
 
-def _connector_tboxes():
-    return {
-        "bare": NormalizedTBox(
-            clauses=[], universals=[],
-            at_leasts=[AtLeastCI(NodeLabel("A"), 1, R, NodeLabel("B"))],
-            at_mosts=[], name="cv1",
-        ),
-        "univ": NormalizedTBox(
-            clauses=[],
-            universals=[UniversalCI(NodeLabel("A"), R, NodeLabel("C", True))],
-            at_leasts=[AtLeastCI(NodeLabel("A"), 2, R, NodeLabel("B"))],
-            at_mosts=[], name="cv2",
-        ),
-        "atmost": NormalizedTBox(
-            clauses=[], universals=[],
-            at_leasts=[
-                AtLeastCI(NodeLabel("A"), 1, R, NodeLabel("B")),
-                AtLeastCI(NodeLabel("A"), 1, R, NodeLabel("C")),
-            ],
-            at_mosts=[AtMostCI(NodeLabel("A"), 2, R, NodeLabel("B"))],
-            name="cv3",
-        ),
-    }
-
-
-@needs_numpy
-def test_scan_matches_scalar_verdict_order_and_counts(monkeypatch):
-    """Across TBox shapes × queries × centres the scanner must reproduce the
-    scalar loop's verdict AND its examined-pick count — equal counts on
-    equal verdicts prove the first-success index (enumeration order) is
-    preserved, which is what keeps memo contents and countermodels
-    backend-independent."""
-    monkeypatch.setattr(twoway, "VEC_SCAN_MIN_CANDIDATES", 1)
-    pool = _maximal_pool()
-    queries = {
-        "edge": parse_query("A(x), r(x,y), B(y)"),
-        "node": parse_query("C(x)"),
-        "disj": parse_query("B(x); A(x), r(x,y), C(y)"),
-    }
-    centres = [Type.of("A"), Type.of("A", "C"), Type.of("B")]
-    found_some = False
-    for tbox, query, centre in itertools.product(
-        _connector_tboxes().values(), queries.values(), centres
-    ):
-        outcomes = {}
-        for backend in ("bitset", "vec"):
-            counters = {"witnesses_materialized": 0, "cache_hits": 0, "types_checked": 0}
-            found = _connector_exists(
-                centre, pool, tbox, query, [R], max_leaves=2,
-                max_candidates=500_000, counters=counters, backend=backend,
-            )
-            outcomes[backend] = (found, counters["witnesses_materialized"])
-        assert outcomes["bitset"] == outcomes["vec"]
-        found_some = found_some or outcomes["bitset"][0]
-    assert found_some  # the grid must exercise the first-success path
-
-
-@needs_numpy
-def test_oversized_space_fails_before_scanner_allocates(monkeypatch):
-    """The ProcedureInfeasible guard must fire eagerly — before the vec
-    scanner materializes any column matrix."""
-    monkeypatch.setattr(twoway, "VEC_SCAN_MIN_CANDIDATES", 1)
+def test_oversized_space_fails_before_bundles_are_built(monkeypatch):
+    """The ProcedureInfeasible guard must fire eagerly — before any
+    connector bundle list is materialized."""
 
     def boom(*_args, **_kwargs):  # pragma: no cover - guard must preempt this
-        raise AssertionError("scanner constructed despite the space guard")
+        raise AssertionError("bundle list built despite the space guard")
 
-    monkeypatch.setattr(vec_fixpoint, "ConnectorVecScanner", boom)
-    tbox = _connector_tboxes()["bare"]
+    monkeypatch.setattr(twoway, "combinations_with_replacement", boom)
+    tbox = NormalizedTBox(
+        clauses=[], universals=[],
+        at_leasts=[AtLeastCI(NodeLabel("A"), 1, R, NodeLabel("B"))],
+        at_mosts=[], name="cv1",
+    )
     with pytest.raises(ProcedureInfeasible, match="connector candidate space"):
         _connector_exists(
             Type.of("A"), _maximal_pool(), tbox,
-            parse_query("C(x)"), [R], max_leaves=3,
-            max_candidates=5, backend="vec",
+            parse_query("C(x)"), [R], max_leaves=3, max_candidates=5,
         )
 
 
 @needs_numpy
-def test_forced_scan_twoway_end_to_end_matches_bitset(monkeypatch):
-    """A counting TBox whose T_c carries fresh-name definitions, run with
-    the scan threshold at 1 so every connector search goes through the
-    scanner: verdict, stats (incl. witnesses), and survivors identical.
-    E22's full run repeats this with ``<=3 r.B``, a larger pick space."""
+def test_counting_fresh_names_twoway_matches_bitset():
+    """A counting TBox whose T_c carries fresh-name definitions: verdict,
+    stats (incl. connector picks examined), and survivors identical on
+    both backends.  E22's full run repeats this with ``<=3 r.B``, a larger
+    pick space."""
     raw = TBox.of([("A", ">=2 r.B"), ("B", "C"), ("C", "<=2 r.B")], name="scan")
     tbox = normalize(raw)
     assert fragments.alcq_factorization(tbox).connectors_tbox.definitions
     query = parse_query("A(x), r(x,y), B(y)")
-    monkeypatch.setattr(twoway, "VEC_SCAN_MIN_CANDIDATES", 1)
     results = {}
     for backend in ("bitset", "vec"):
         config = TwoWayConfig(

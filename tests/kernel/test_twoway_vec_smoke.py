@@ -1,12 +1,10 @@
-"""CI smoke for the twoway connector-scan benchmark (E22).
+"""CI smoke for the twoway bitset-vs-vec benchmark (E22).
 
-Runs ``benchmarks/bench_twoway_vec.py --quick`` — a trimmed row with the
-scan threshold forced to 1 so the vectorized connector scan engages even
-on the small pick space — and fails if the two backends diverge on any
-verdict, pipeline stat, survivor set, or synthesized countermodel.
-Speedup is not asserted here (timing noise on trimmed rows); the full
-benchmark enforces the ≥3× floor.  Skips cleanly when numpy is not
-installed.
+Runs ``benchmarks/bench_twoway_vec.py --quick`` — the base row plus a
+countermodel check — and fails if the two backends diverge on any
+verdict, pipeline stat, survivor set, or synthesized countermodel, or if
+the row's examined connector picks or survivors leave their pinned
+figures.  Skips cleanly when numpy is not installed.
 """
 
 import os

@@ -7,6 +7,7 @@ fork, so these tests are fast and single-CPU safe; the multi-process shape
 
 import asyncio
 import json
+import logging
 
 import pytest
 
@@ -423,6 +424,29 @@ def test_concurrent_clients_multiplex():
             await gateway.stop()
 
     run(scenario())
+
+
+def test_stop_logs_no_asyncio_error(caplog):
+    """Stopping with one client parked on an open connection and another
+    that has just hung up ends both handlers without leaving either
+    cancelled: asyncio logs no error from the stream protocol's
+    done-callback."""
+    caplog.set_level(logging.ERROR, logger="asyncio")
+
+    async def scenario():
+        gateway, port = await tcp_gateway()
+        parked = await Client.tcp(port)
+        leaving = await Client.tcp(port)
+        for client in (parked, leaving):
+            assert (await client.ask({"type": "ping", "id": "p"}))["type"] == "pong"
+        await leaving.close()
+        await asyncio.wait_for(gateway.stop(), timeout=20)
+        assert await parked.reader.read() == b""
+        await parked.close()
+
+    run(scenario())
+    errors = [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert errors == []
 
 
 def test_stop_resolves_parked_connections():
