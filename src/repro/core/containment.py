@@ -239,17 +239,14 @@ def _direct_search(
     rhs: UCRPQ,
     tbox: NormalizedTBox,
     options: ContainmentOptions,
-) -> tuple[Optional[Graph], int, bool]:
-    """Chase for a T-model satisfying the disjunct and avoiding Q.
-
-    Returns (countermodel | None, seeds tried, all searches exhausted).
-    """
+) -> tuple[Optional[Graph], int]:
+    """Chase for a T-model satisfying the disjunct and avoiding Q; returns
+    (countermodel | None, seeds tried)."""
     deadline = options.limits.deadline
     seeds = 0
-    all_exhausted = True
     for expansion in expansions(disjunct, options.max_word_length, options.max_expansions):
         if deadline is not None and deadline.expired():
-            return None, seeds, False
+            return None, seeds
         seeds += 1
         outcome = CountermodelSearch(
             tbox,
@@ -263,10 +260,8 @@ def _direct_search(
             assert tbox.satisfied_by(model)
             assert satisfies(model, disjunct)
             assert not satisfies_union(model, rhs)
-            return model, seeds, True
-        if not outcome.exhausted:
-            all_exhausted = False
-    return None, seeds, all_exhausted
+            return model, seeds
+    return None, seeds
 
 
 def decision_key(
@@ -506,13 +501,9 @@ def _decide(
 
     if method == "direct":
         total_seeds = 0
-        certain = True
         for disjunct in lhs_u:
-            model, seeds, exhausted = _direct_search(
-                disjunct, rhs_u, normalized, options
-            )
+            model, seeds = _direct_search(disjunct, rhs_u, normalized, options)
             total_seeds += seeds
-            certain = certain and exhausted
             if model is not None:
                 return ContainmentResult(
                     False, True, "direct", strip_internal_labels(model), total_seeds,

@@ -84,7 +84,7 @@ from repro.obs import REGISTRY
 from repro.resilience import FaultInjected, faults
 from repro.service.metrics import ServiceMetrics
 
-CACHE_EPOCH = 3
+CACHE_EPOCH = 4
 """Bump to invalidate every persisted verdict after a semantic change."""
 
 JOURNAL_NAME = "decisions.jsonl"
