@@ -9,12 +9,14 @@ n=128 incremental-chase sweep point — and verifies tracing is passive:
 
 * **disabled overhead** — a microbenchmark measures the per-call cost of
   a disabled ``span()``; multiplied by the span count the workload
-  actually emits and divided by its untraced wall time, that bounds the
-  overhead the instrumentation adds when nobody is tracing.  Asserted
-  under 3% on both workloads.
+  actually emits and divided by its untraced wall time (the median of
+  ``TIMED_CALLS`` calls), that bounds the overhead the instrumentation adds
+  when nobody is tracing.  Asserted under 3% on both workloads.  The traced
+  column is likewise the median of ``TIMED_CALLS`` calls, each under its
+  own ``Tracer``.
 * **bit-identity** — running the same workload under a live ``Tracer``
   must not change the outcome: verdict fingerprints (including
-  countermodels) from traced and untraced runs are compared exactly.
+  countermodels) from every traced and untraced call are compared exactly.
 * **trace shape** — the Fig. 1 reduction decision must export valid
   Chrome ``trace_event`` JSON with correctly nested
   reduction → elimination → search spans.
@@ -28,6 +30,7 @@ fingerprint divergence, overhead breach, or malformed trace.
 """
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -47,6 +50,9 @@ from repro.queries.parser import parse_query
 from repro.queries.presets import example_36_factorization, example_36_query
 
 OVERHEAD_BUDGET_PCT = 3.0
+
+TIMED_CALLS = 5
+"""Timed calls per arm; each arm's time is their median."""
 
 
 # --------------------------------------------------------------------- #
@@ -110,21 +116,30 @@ def disabled_span_cost_ns(calls: int = 200_000) -> float:
     return (time.perf_counter() - start) / calls * 1e9
 
 
-def measure_workload(name, run, cost_ns):
-    """One A/B row: untraced timing, traced timing + span census, identity."""
-    run()  # warm caches (compiled matchers, memos) out of the measurement
+def _timed(run, traced: bool):
+    """One call: (fingerprint, seconds, spans emitted; 0 when untraced)."""
     start = time.perf_counter()
-    untraced_print = run()
-    untraced_s = time.perf_counter() - start
-
-    start = time.perf_counter()
+    if not traced:
+        print_of = run()
+        return print_of, time.perf_counter() - start, 0
     with tracing("e19") as tracer:
-        traced_print = run()
-    traced_s = time.perf_counter() - start
+        print_of = run()
+    return print_of, time.perf_counter() - start, tracer.span_count()
 
-    spans = tracer.span_count()
+
+def measure_workload(name, run, cost_ns):
+    """One A/B row: median untraced and traced timings over ``TIMED_CALLS``
+    calls each, span census, identity."""
+    run()  # warm caches (compiled matchers, memos) out of the measurement
+    untraced = [_timed(run, traced=False) for _ in range(TIMED_CALLS)]
+    traced = [_timed(run, traced=True) for _ in range(TIMED_CALLS)]
+    untraced_s = statistics.median(elapsed for _print, elapsed, _spans in untraced)
+    traced_s = statistics.median(elapsed for _print, elapsed, _spans in traced)
+
+    spans = max(count for _print, _elapsed, count in traced)
     est_pct = spans * cost_ns / (untraced_s * 1e9) * 100.0
-    identical = untraced_print == traced_print
+    reference = untraced[0][0]
+    identical = all(print_of == reference for print_of, _e, _s in untraced + traced)
     row = [
         name,
         f"{untraced_s * 1000:.1f}ms",

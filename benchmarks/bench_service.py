@@ -1,10 +1,11 @@
 """E18 — batched containment service vs sequential cold calls.
 
 The service amortizes three things a cold one-shot `is_contained` call
-pays every time: schema normalization + bitset-kernel compilation (one
-schema session per distinct TBox), repeated identical decisions (in-batch
-dedup), and — across runs — the search itself (the persistent decision
-journal).  This benchmark replays query-log-like request batches that all
+pays every time: query parsing and schema normalization (a cold process
+starts with an empty parsed-query table and decodes a new TBox; the
+service keeps one schema session per distinct TBox), repeated identical
+decisions (in-batch dedup), and — across runs — the search itself (the
+persistent decision journal).  This benchmark replays query-log-like request batches that all
 share one schema and measures:
 
 * **sequential cold** — each request handled on its own with all process

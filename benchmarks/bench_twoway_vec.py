@@ -44,7 +44,7 @@ from repro.core.twoway import TwoWayConfig, realizable_refuting_twoway
 from repro.dl.normalize import normalize
 from repro.dl.tbox import TBox
 from repro.graphs.types import Type
-from repro.kernel.vec import HAVE_NUMPY
+from repro.kernel.backend import HAVE_NUMPY
 from repro.queries.parser import parse_query
 from repro.service.sessions import reset_process_caches
 

@@ -47,6 +47,7 @@ from repro.dl.normalize import AtLeastCI, ClauseCI, NormalizedTBox
 from repro.graphs.graph import Graph, PointedGraph
 from repro.graphs.labels import NodeLabel
 from repro.graphs.types import Type, realized_types, type_of
+from repro.kernel.backend import resolve_backend
 from repro.kernel.bitset import compiled_clauses_for, inert_partition
 from repro.obs import REGISTRY, span
 from repro.queries.evaluation import satisfies_union
@@ -218,8 +219,6 @@ def _realizable_refuting_oneway(
             fresh_names=set(tbox.fresh_names),
             name=f"{tbox.name}_core",
         )
-    from repro.kernel.vec import resolve_backend
-
     chosen_backend = resolve_backend(backend, 2 ** len(work_gamma))
     if inert_scale == 0:
         # no consistent inert assignment: no consistent types at all

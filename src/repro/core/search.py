@@ -139,64 +139,18 @@ class _ViolationCache:
     every chase state is bit-identical with the cache on or off.
     """
 
-    def __init__(self, tbox: NormalizedTBox, graph: Graph) -> None:
+    def __init__(self, categories: tuple, graph: Graph) -> None:
         graph.enable_change_tracking()
         self.graph = graph
-        self._categories = (
-            ("clause", tbox.clauses, [self._compile_clause(c) for c in tbox.clauses]),
-            ("universal", tbox.universals,
-             [self._compile_successor_ci(c, "universal") for c in tbox.universals]),
-            ("atmost", tbox.at_mosts,
-             [self._compile_successor_ci(c, "atmost") for c in tbox.at_mosts]),
-            ("atleast", tbox.at_leasts,
-             [self._compile_successor_ci(c, "atleast") for c in tbox.at_leasts]),
-        )
+        self._categories = categories
+        """``(kind, cis, compiled checks)`` in repair order
+        (:attr:`_TBoxRules.categories`)."""
         self._entries: dict[Node, list[int]] = {}
         self._frames: list[_VFrame] = []
         self._cursor = len(graph.journal or ())
+
     def _drop_all(self) -> None:
         self._entries.clear()
-
-    @staticmethod
-    def _compile_clause(clause: ClauseCI):
-        """An exact negation of ``ClauseCI.holds_at`` over raw label sets."""
-        body = tuple((lit.name, lit.negated) for lit in clause.body)
-        head = tuple((lit.name, lit.negated) for lit in clause.head)
-
-        def violated(graph: Graph, node: Node, labels) -> bool:
-            for name, negated in body:
-                if (name in labels) == negated:
-                    return False
-            for name, negated in head:
-                if (name in labels) != negated:
-                    return False
-            return True
-
-        return violated
-
-    @staticmethod
-    def _compile_successor_ci(ci, kind: str):
-        """Exact negations of the successor-reading ``holds_at`` checks."""
-        s_name, s_negated = ci.subject.name, ci.subject.negated
-        r_name, r_inverted = ci.role.name, ci.role.inverted
-        f_name, f_negated = ci.filler.name, ci.filler.negated
-        bound = getattr(ci, "n", None)
-
-        def violated(graph: Graph, node: Node, labels) -> bool:
-            if (s_name in labels) == s_negated:
-                return False
-            successors = graph.successors_by_name(node, r_name, r_inverted)
-            labels_of = graph._labels
-            if kind == "universal":
-                return any(
-                    (f_name in labels_of[w]) == f_negated for w in successors
-                )
-            count = sum(
-                1 for w in successors if (f_name in labels_of[w]) != f_negated
-            )
-            return count > bound if kind == "atmost" else count < bound
-
-        return violated
 
     _ALL = (0, 1, 2, 3)
     _NEIGHBORLY = (1, 2, 3)
@@ -313,6 +267,47 @@ class _ViolationCache:
         return None
 
 
+def _compile_clause(clause: ClauseCI):
+    """An exact negation of ``ClauseCI.holds_at`` over raw label sets."""
+    body = tuple((lit.name, lit.negated) for lit in clause.body)
+    head = tuple((lit.name, lit.negated) for lit in clause.head)
+
+    def violated(graph: Graph, node: Node, labels) -> bool:
+        for name, negated in body:
+            if (name in labels) == negated:
+                return False
+        for name, negated in head:
+            if (name in labels) != negated:
+                return False
+        return True
+
+    return violated
+
+
+def _compile_successor_ci(ci, kind: str):
+    """Exact negations of the successor-reading ``holds_at`` checks."""
+    s_name, s_negated = ci.subject.name, ci.subject.negated
+    r_name, r_inverted = ci.role.name, ci.role.inverted
+    f_name, f_negated = ci.filler.name, ci.filler.negated
+    bound = getattr(ci, "n", None)
+
+    def violated(graph: Graph, node: Node, labels) -> bool:
+        if (s_name in labels) == s_negated:
+            return False
+        successors = graph.successors_by_name(node, r_name, r_inverted)
+        labels_of = graph._labels
+        if kind == "universal":
+            return any(
+                (f_name in labels_of[w]) == f_negated for w in successors
+            )
+        count = sum(
+            1 for w in successors if (f_name in labels_of[w]) != f_negated
+        )
+        return count > bound if kind == "atmost" else count < bound
+
+    return violated
+
+
 class _DeadEnds:
     """A TBox's forced repairs and monotone dead ends: clauses with a
     positive body and at most one positive head literal (negated head
@@ -369,6 +364,35 @@ class _DeadEnds:
         )
 
 
+class _TBoxRules:
+    """What every chase over one TBox derives from it alone: the compiled
+    violation checks in repair order, the forced-repair dead ends (``None``
+    when no state can reach one) and the TBox's concept and role names.
+    Built once per :class:`NormalizedTBox` and cached on it (:func:`_rules_for`)."""
+
+    def __init__(self, tbox: NormalizedTBox) -> None:
+        self.categories = (
+            ("clause", tbox.clauses, [_compile_clause(c) for c in tbox.clauses]),
+            ("universal", tbox.universals,
+             [_compile_successor_ci(c, "universal") for c in tbox.universals]),
+            ("atmost", tbox.at_mosts,
+             [_compile_successor_ci(c, "atmost") for c in tbox.at_mosts]),
+            ("atleast", tbox.at_leasts,
+             [_compile_successor_ci(c, "atleast") for c in tbox.at_leasts]),
+        )
+        dead_ends = _DeadEnds(tbox)
+        self.dead_ends = dead_ends if dead_ends.limits or dead_ends.clashes else None
+        self.concept_names = frozenset(tbox.concept_names())
+        self.role_names = frozenset(tbox.role_names())
+
+
+def _rules_for(tbox: NormalizedTBox) -> _TBoxRules:
+    rules = vars(tbox).get("_chase_rules")
+    if rules is None:
+        rules = tbox._chase_rules = _TBoxRules(tbox)
+    return rules
+
+
 class CountermodelSearch:
     """One search instance; call :meth:`run`."""
 
@@ -397,12 +421,13 @@ class CountermodelSearch:
             self.pinned = {node: frozenset(names) for node, names in pinned_nodes.items()}
         else:
             self.pinned = {node: None for node in pinned_nodes}
+        self._rules = _rules_for(tbox)
         self.allowed_types = list(allowed_types) if allowed_types is not None else None
         self.type_signature = (
             sorted(type_signature)
             if type_signature is not None
             else sorted(
-                tbox.concept_names()
+                self._rules.concept_names
                 | avoid.node_label_names()
                 | seed.node_label_names()
             )
@@ -410,7 +435,7 @@ class CountermodelSearch:
         roles = (
             set(allowed_roles)
             if allowed_roles is not None
-            else tbox.role_names() | avoid.role_names() | seed.role_names()
+            else self._rules.role_names | avoid.role_names() | seed.role_names()
         )
         self.roles = sorted(roles)
         self.steps = 0
@@ -418,10 +443,7 @@ class CountermodelSearch:
         self.tt_hits = 0
         self.tt_misses = 0
         self.pruned = 0
-        if "_dead_ends" not in vars(tbox):  # compiled once per TBox
-            rules = _DeadEnds(tbox)
-            tbox._dead_ends = rules if rules.limits or rules.clashes else None
-        self._dead_ends = tbox._dead_ends
+        self._dead_ends = self._rules.dead_ends
         self._deadline = self.limits.deadline
         self._fault_step = faults.site_armed("search.step")
         self._evaluator: Optional[IncrementalUnionEvaluator] = None
@@ -474,7 +496,7 @@ class CountermodelSearch:
         graph = self.seed.copy()
         if self.limits.incremental:
             self._evaluator = IncrementalUnionEvaluator(graph, self.avoid)
-            self._vcache = _ViolationCache(self.tbox, graph)
+            self._vcache = _ViolationCache(self._rules.categories, graph)
             self._tt = set()
             self._key_labels = {
                 node: frozenset(names) for node, names in graph._labels.items()

@@ -43,6 +43,7 @@ from repro.dl.types import clause_consistent
 from repro.graphs.graph import Graph, single_node_graph
 from repro.graphs.labels import NodeLabel, Role
 from repro.graphs.types import Type
+from repro.kernel.backend import resolve_backend
 from repro.obs import REGISTRY, span
 from repro.queries.atoms import PathAtom
 from repro.queries.crpq import CRPQ
@@ -413,6 +414,39 @@ def _base_case_types(
     return frozenset(passing)
 
 
+def vec_fallback_reason(
+    free_names: Iterable[str],
+    counter_groups: Iterable[Sequence[NodeLabel]],
+) -> Optional[str]:
+    """Why a candidate space cannot run on the vec enumerator — ``None``
+    when it can.
+
+    Negated counter labels are supported (complemented columns), so the
+    only remaining obstruction is a *name collision*: a counter-label name
+    repeated across the groups (or clashing with a free name) makes the
+    per-name column ambiguous — and makes the scalar generator emit
+    contradictory literal lists anyway.  The reason string feeds the
+    ``kernel.backend.fallback.<reason>`` obs counters:
+
+    * ``"negated_counters"`` — a collision involving a negated label (the
+      residual negation shape the enumerator cannot encode);
+    * ``"counter_collision"`` — a collision between positive labels.
+    """
+    seen = set(free_names)
+    collisions: set[str] = set()
+    negated_names: set[str] = set()
+    for group in counter_groups:
+        for label in group:
+            if label.negated:
+                negated_names.add(label.name)
+            if label.name in seen:
+                collisions.add(label.name)
+            seen.add(label.name)
+    if not collisions:
+        return None
+    return "negated_counters" if collisions & negated_names else "counter_collision"
+
+
 def _resolve_with_reason(
     config: TwoWayConfig,
     free_names: Sequence[str],
@@ -423,9 +457,6 @@ def _resolve_with_reason(
     the candidate space cannot be vectorized — the reported backend and the
     ``kernel.backend.*`` counters must name the path that actually runs —
     and recording the downgrade reason on the obs registry."""
-    from repro.kernel.vec import resolve_backend
-    from repro.kernel.vec_fixpoint import vec_fallback_reason
-
     reason = vec_fallback_reason(free_names, counter_groups)
     if reason is not None and config.backend != "bitset":
         REGISTRY.inc(f"kernel.backend.fallback.{reason}")

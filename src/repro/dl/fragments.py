@@ -8,7 +8,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.dl.concepts import And, AtLeast, AtMost, Atomic, Bottom, Concept, ForAll, Or, Top
@@ -219,15 +219,21 @@ def alcq_factorization(tbox: NormalizedTBox, tag: str = "") -> ALCQFactorization
         raw_cis.append(CI(Atomic(ci.subject), split))
         if isinstance(tbox.definitions.get(ci.subject.name), (AtLeast, AtMost)):
             split_definitions[ci.subject.name] = split
-    connectors_tbox = normalize(TBox(tuple(raw_cis), name=f"{tbox.name}_Tc"))
+    normalized_tc = normalize(TBox(tuple(raw_cis), name=f"{tbox.name}_Tc"))
     # T_c inherits T's fresh names as plain atomics; carry their definitions
     # over so that `complete` can place them on candidate connectors.  The
     # markers of T's own number restrictions are reinterpreted: in a
     # connector they hold iff the *split* (component counter + connector
-    # witnesses) holds, not the original single-graph restriction.
+    # witnesses) holds, not the original single-graph restriction.  The
+    # normalized object is cached on its raw TBox, so T_c is a new object.
+    definitions = dict(normalized_tc.definitions)
     for name, definition in tbox.definitions.items():
-        connectors_tbox.definitions.setdefault(name, definition)
-    connectors_tbox.definitions.update(split_definitions)
-    connectors_tbox.fresh_names |= set(tbox.fresh_names)
+        definitions.setdefault(name, definition)
+    definitions.update(split_definitions)
+    connectors_tbox = replace(
+        normalized_tc,
+        definitions=definitions,
+        fresh_names=normalized_tc.fresh_names | set(tbox.fresh_names),
+    )
 
     return ALCQFactorization(gamma, counters, cap, components_tbox, connectors_tbox)

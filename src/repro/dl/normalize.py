@@ -197,6 +197,11 @@ class NormalizedTBox:
             object.__setattr__(self, "_content_key", cached)
         return cached
 
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields only: the caches kept on the object
+        (the content key, the chase's compiled rules) are rebuilt on demand."""
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
     def concept_names(self) -> set[str]:
         names: set[str] = set()
         for clause in self.clauses:
@@ -337,7 +342,22 @@ def _as_literal(c: Concept) -> Optional[NodeLabel]:
 
 
 def normalize(tbox: TBox) -> NormalizedTBox:
-    """Normalize a TBox; fresh names use the ``Nz_`` prefix."""
+    """Normalize a TBox; fresh names use the ``Nz_`` prefix.
+
+    The result is cached on the frozen ``tbox`` object, the way
+    :meth:`NormalizedTBox.content_key` caches on its object, so a schema
+    reused across decisions is normalized once and its own caches (content
+    key, the chase's compiled rules) are built once.  The cache is keyed by
+    object, not content: an equal but distinct ``TBox`` gets its own
+    result.  Callers must not mutate the returned object."""
+    cached = getattr(tbox, "_normalized", None)
+    if cached is None:
+        cached = _normalize(tbox)
+        object.__setattr__(tbox, "_normalized", cached)
+    return cached
+
+
+def _normalize(tbox: TBox) -> NormalizedTBox:
     taken = tbox.concept_names()
     fresh = fresh_name_factory("Nz_", taken)
 

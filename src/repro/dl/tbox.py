@@ -88,6 +88,12 @@ class TBox:
             names |= ci.role_names()
         return names
 
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields only: the normal form that
+        :func:`repro.dl.normalize.normalize` caches on the object is
+        rebuilt on demand."""
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
     def __str__(self) -> str:
         header = f"TBox {self.name}:" if self.name else "TBox:"
         return "\n".join([header] + [f"  {ci}" for ci in self.cis])

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 from repro.dl.normalize import NormalizedTBox
 from repro.graphs.types import Type
+from repro.kernel.backend import resolve_backend
 from repro.kernel.bitset import compiled_clauses_for
 
 
@@ -60,15 +61,15 @@ def consistent_types(
     are only built for the survivors.
 
     Not itself a generator: the backend resolves (and an infeasible
-    explicit ``backend="vec"`` raises :class:`~repro.kernel.vec.
+    explicit ``backend="vec"`` raises :class:`~repro.kernel.backend.
     VecUnavailable`) at call time, not at the first ``next()``.
     """
-    from repro.kernel.vec import consistent_ints_vec, resolve_backend
-
     compiled = compiled_clauses_for(tbox, names)
     decode = compiled.kernel.decode
     chosen = resolve_backend(backend, 1 << compiled.kernel.size)
     if chosen == "vec":
+        from repro.kernel.vec import consistent_ints_vec
+
         bit_source: Iterable[int] = consistent_ints_vec(tbox, names)
     else:
         bit_source = compiled.consistent_bits()

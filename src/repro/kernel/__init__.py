@@ -6,13 +6,16 @@ machinery that makes those loops fast without changing any verdict:
 
 * :mod:`repro.kernel.bitset` — types as Python ints (O(1) hash/subset),
   clausal CIs compiled to bitmasks;
+* :mod:`repro.kernel.backend` — numpy-free backend selection
+  (``resolve_backend``): whether numpy is installed is asked of
+  ``importlib``, not answered by importing it;
 * :mod:`repro.kernel.vec` / :mod:`repro.kernel.vec_fixpoint` — the whole
   Γ₀ table as numpy uint64 bit matrices, elimination waves as bulk boolean
   ops (optional ``repro[vec]`` extra).  Only the type-table entry points
   (``realizable_refuting_oneway``, ``realizable_refuting_twoway``,
-  :func:`repro.dl.types.consistent_types`) import them, when they resolve
-  their own ``backend`` argument; this package does not, so deciding and
-  serving never load numpy;
+  :func:`repro.dl.types.consistent_types`) import them, once their
+  ``backend`` argument resolves to vec; this package does not, so deciding,
+  serving and bitset fixpoints never load numpy;
 * :mod:`repro.kernel.memo` — bounded cross-decision caches keyed by
   :meth:`NormalizedTBox.content_key`.
 

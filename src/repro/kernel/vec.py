@@ -19,9 +19,11 @@ with the bitset path, so verdicts, eliminated-type sets, and countermodels
 are identical **by construction** — the bitset kernel stays the oracle the
 E21 A/B benchmark checks this backend against.
 
-numpy is an *optional* extra (``pip install repro[vec]``).  Without it,
-``backend="vec"`` raises :class:`VecUnavailable` with a clear message and
-``backend="auto"`` silently selects the bitset kernel.
+numpy is an *optional* extra (``pip install repro[vec]``).  Backend
+selection lives in the numpy-free :mod:`repro.kernel.backend`: without
+numpy, ``backend="vec"`` raises :class:`~repro.kernel.backend.VecUnavailable`
+with a clear message and ``backend="auto"`` silently selects the bitset
+kernel.  This module is imported only once a call has resolved to vec.
 """
 
 from __future__ import annotations
@@ -29,97 +31,19 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.dl.normalize import NormalizedTBox
+from repro.kernel.backend import VecUnavailable, require_numpy
 from repro.kernel.bitset import CompiledClauses, TypeKernel, compiled_clauses_for
 from repro.obs import REGISTRY, span
 
-try:  # pragma: no cover - exercised via the HAVE_NUMPY branches
+try:  # pragma: no cover - CI images bundle numpy
     import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - CI images bundle numpy
+except ImportError:  # pragma: no cover - callers check require_numpy() first
     _np = None
-    HAVE_NUMPY = False
-
-BACKENDS = ("auto", "bitset", "vec")
-
-VEC_AUTO_THRESHOLD = 4096
-"""``backend="auto"`` selects the vec backend when the candidate table has
-at least this many rows (2^|Γ₀| for the elimination procedures).  Below the
-threshold the numpy round trips cost more than the Python loops they
-replace; above it the bulk filters win by widening margins."""
-
-VEC_MAX_ROWS = 1 << 62
-"""Largest candidate table the vec backend will materialize.  Candidate
-spaces beyond this stay on the streaming bitset kernel: ``"auto"`` never
-selects vec above it, and an explicit ``backend="vec"`` is rejected eagerly
-in :func:`resolve_backend` rather than failing lazily mid-enumeration."""
 
 _WORD = 64
 _ENUM_CHUNK = 1 << 16
 """Rows filtered per chunk during full-table enumeration, bounding peak
 memory at ``chunk * words * 8`` bytes regardless of 2^|Γ₀|."""
-
-
-class VecUnavailable(RuntimeError):
-    """``backend="vec"`` was requested but numpy is not importable."""
-
-
-def require_numpy() -> None:
-    """Raise :class:`VecUnavailable` with installation guidance if numpy is
-    missing; no-op otherwise."""
-    if not HAVE_NUMPY:
-        raise VecUnavailable(
-            "backend='vec' requires numpy, which is not installed; "
-            "install the optional extra (pip install 'repro[vec]') or use "
-            "backend='auto' (falls back to the bitset kernel) or 'bitset'"
-        )
-
-
-def resolve_backend(
-    backend: str,
-    table_size: int,
-    threshold: int = VEC_AUTO_THRESHOLD,
-) -> str:
-    """Resolve a requested backend to ``"bitset"`` or ``"vec"``.
-
-    ``table_size`` is the number of candidate rows the procedure would put
-    in the table (2^|Γ₀| for the oneway/twoway eliminations).  ``"auto"``
-    picks vec when numpy is importable and the table reaches ``threshold``
-    rows; ``"vec"`` without numpy — or over a table the enumerator cannot
-    materialize (:data:`VEC_MAX_ROWS`) — raises :class:`VecUnavailable`
-    eagerly, at resolve time rather than mid-enumeration.  The chosen
-    backend is counted on the obs registry (``kernel.backend.*``) so
-    explain reports show which kernel actually ran.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r} (expected one of {BACKENDS})"
-        )
-    if backend == "vec":
-        require_numpy()
-        if table_size > VEC_MAX_ROWS:
-            raise VecUnavailable(
-                f"backend='vec' cannot materialize a bit matrix over "
-                f"{table_size} candidate rows (limit 2^62); use "
-                "backend='auto' or 'bitset' (streaming enumeration)"
-            )
-        chosen = "vec"
-    elif backend == "bitset":
-        chosen = "bitset"
-    else:
-        # auto never picks a table the enumerator cannot materialize
-        feasible = threshold <= table_size <= VEC_MAX_ROWS
-        chosen = "vec" if HAVE_NUMPY and feasible else "bitset"
-    REGISTRY.inc(f"kernel.backend.{chosen}")
-    if backend == "auto" and table_size >= threshold and chosen == "bitset":
-        # auto wanted vec at this size but could not take it — record why,
-        # so the silent downgrade is visible in stats/explain output
-        if table_size > VEC_MAX_ROWS:
-            REGISTRY.inc("kernel.backend.fallback.table_too_large")
-        elif not HAVE_NUMPY:
-            REGISTRY.inc("kernel.backend.auto_fallback")
-            REGISTRY.inc("kernel.backend.fallback.numpy_missing")
-    return chosen
 
 
 # --------------------------------------------------------------------- #

@@ -38,12 +38,11 @@ from repro.dl.normalize import NormalizedTBox
 from repro.graphs.labels import NodeLabel
 from repro.graphs.types import Type
 from repro.kernel.bitset import TypeKernel, compiled_clauses_for
+from repro.kernel.backend import HAVE_NUMPY, require_numpy
 from repro.kernel.vec import (
-    HAVE_NUMPY,
     VecClauseMatrix,
     VecTypeTable,
     pack_mask,
-    require_numpy,
     unpack_row,
     vec_table_for,
     word_count,
@@ -147,45 +146,6 @@ class OnewayVecTable:
             hit = bool(_np.any(self.vt.refine_mask(pos, neg) & self._alive))
         REGISTRY.inc("vec.bulk_ops")
         return hit
-
-
-def vec_fallback_reason(
-    free_names: Iterable[str],
-    counter_groups: Iterable[Sequence[NodeLabel]],
-) -> Optional[str]:
-    """Why a candidate space cannot run on the vec enumerator — ``None``
-    when it can.
-
-    Negated counter labels are supported (complemented columns), so the
-    only remaining obstruction is a *name collision*: a counter-label name
-    repeated across the groups (or clashing with a free name) makes the
-    per-name column ambiguous — and makes the scalar generator emit
-    contradictory literal lists anyway.  The reason string feeds the
-    ``kernel.backend.fallback.<reason>`` obs counters:
-
-    * ``"negated_counters"`` — a collision involving a negated label (the
-      residual negation shape the enumerator cannot encode);
-    * ``"counter_collision"`` — a collision between positive labels.
-    """
-    seen = set(free_names)
-    collisions: set[str] = set()
-    negated_names: set[str] = set()
-    for group in counter_groups:
-        for label in group:
-            if label.negated:
-                negated_names.add(label.name)
-            if label.name in seen:
-                collisions.add(label.name)
-            seen.add(label.name)
-    if not collisions:
-        return None
-    return "negated_counters" if collisions & negated_names else "counter_collision"
-
-
-def groups_vectorizable(counter_groups: Iterable[Sequence[NodeLabel]]) -> bool:
-    """Can the vec enumerator encode these counter groups exactly?  Thin
-    view over :func:`vec_fallback_reason` (no free names)."""
-    return vec_fallback_reason((), counter_groups) is None
 
 
 class TwowayVecEnumerator:

@@ -19,6 +19,7 @@ from typing import Union
 
 from repro.automata.regex import RegexSyntaxError, parse_regex
 from repro.graphs.labels import NodeLabel
+from repro.kernel.memo import BoundedMemo
 from repro.queries.atoms import ConceptAtom, PathAtom
 from repro.queries.crpq import CRPQ
 from repro.queries.ucrpq import UCRPQ
@@ -88,9 +89,24 @@ def parse_crpq(text: str) -> CRPQ:
     return CRPQ.of(atoms)
 
 
+_PARSED = BoundedMemo(max_entries=2048, name="parse.query")
+"""Query text → parsed :class:`UCRPQ`, FIFO beyond 2,048 texts (the size of
+the compiled-query memo, so a working set that fits here keeps its compiled
+matchers too).  Parse errors are never stored."""
+
+
 def parse_query(text: str) -> UCRPQ:
-    """Parse a UC2RPQ: C2RPQs separated by ``;``."""
-    disjuncts = [parse_crpq(part) for part in _split_top_level(text, ";")]
-    if not disjuncts:
-        raise QuerySyntaxError("empty union")
-    return UCRPQ.of(disjuncts)
+    """Parse a UC2RPQ: C2RPQs separated by ``;``.
+
+    A text is parsed once per process: every later call returns the same
+    frozen :class:`UCRPQ`, so the caches keyed by query identity (the
+    compiled matchers, :func:`repro.core.reduction.query_key`) hit across
+    calls."""
+    query = _PARSED.get(text)
+    if query is None:
+        disjuncts = [parse_crpq(part) for part in _split_top_level(text, ";")]
+        if not disjuncts:
+            raise QuerySyntaxError("empty union")
+        query = UCRPQ.of(disjuncts)
+        _PARSED.put(text, query)
+    return query

@@ -29,12 +29,12 @@ benchmark enforces.
 Requests arrive validated (:class:`repro.service.protocol.DecideModel`);
 what needs server state — query parse, ``schema_ref`` resolution — is
 checked at submit time, so malformed requests fail fast with an ``error``
-response and never occupy the queue.  Query texts are *interned*: a
-bounded table maps each text to its parsed :class:`UCRPQ`, so a repeated
-text is parsed, keyed (:func:`repro.core.reduction.query_key` caches on the
-object) and matcher-compiled once per scheduler lifetime — the compiled
-matcher memos are keyed by query identity, so a fresh parse per request
-would miss them.  Parse errors are never stored.
+response and never occupy the queue.  Query texts go through
+:func:`repro.queries.parser.parse_query`, whose process-wide table parses
+each text once: a repeated text — in a request, a hydrated premise or a
+library call — yields the same :class:`UCRPQ`, so it is keyed
+(:func:`repro.core.reduction.query_key` caches on the object) and
+matcher-compiled once.
 
 When an auditor is attached (:class:`repro.resilience.audit.VerdictAuditor`,
 the service default), a False verdict's countermodel is re-verified by the
@@ -104,11 +104,6 @@ from repro.service.protocol import (
 )
 from repro.service.sessions import SchemaSession, SessionManager
 
-QUERY_INTERN_MAX = 2048
-"""Distinct query texts one scheduler keeps parsed (FIFO beyond that).
-Matches the compiled-query memo (``compile.query``), so a working set that
-fits the intern table also keeps its compiled matchers."""
-
 MAX_RETRIES = 2
 """Retries of a transient failure before the request answers an error."""
 
@@ -163,8 +158,6 @@ class DecisionScheduler:
         self._results = BoundedMemo(max_entries=8192, name="service.results")
         """Lifetime memo keyed by decision key (dedup source): each value
         is an audited verdict frozen as canonical JSON text."""
-        self._queries = BoundedMemo(max_entries=QUERY_INTERN_MAX, name="service.queries")
-        """Query text → parsed :class:`UCRPQ` intern table."""
 
     def pending(self) -> int:
         return len(self._queue)
@@ -196,8 +189,8 @@ class DecisionScheduler:
         else:
             session = self.sessions.session_for(request.schema)
         try:
-            lhs = self._intern(request.lhs)
-            rhs = self._intern(request.rhs)
+            lhs = parse_query(request.lhs)
+            rhs = parse_query(request.rhs)
         except Exception as exc:
             raise ProtocolError(f"query parse error: {exc}") from exc
         options = build_options(request.options)
@@ -219,16 +212,6 @@ class DecisionScheduler:
             key=key,
             timeout_ms=timeout_ms,
         )
-
-    def _intern(self, text: str) -> UCRPQ:
-        """The parsed query for ``text``, shared by every request (and
-        hydrated premise) carrying the same text.  Raises on a parse
-        error, which is never stored."""
-        query = self._queries.get(text)
-        if query is None:
-            query = parse_query(text)
-            self._queries.put(text, query)
-        return query
 
     # ------------------------------------------------------------- #
     # drain
@@ -462,7 +445,7 @@ class DecisionScheduler:
         lattice.mark_hydrated(digest)
         for lhs_text, verdict in self.cache.semantic_entries(digest):
             try:
-                premise = self._intern(lhs_text)
+                premise = parse_query(lhs_text)
             except Exception:
                 self.metrics.count("semantic_hydrate_errors")
                 continue

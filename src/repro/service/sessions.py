@@ -1,18 +1,18 @@
-"""Schema sessions: normalize each distinct schema exactly once.
+"""Schema sessions: one normalized schema per distinct wire schema.
 
-Every containment decision against a TBox pays a fixed prelude — parse and
-normalize (:func:`repro.dl.normalize.normalize`) — before any search runs.
-A *schema session* performs that prelude once per distinct schema and
-keeps the :class:`~repro.dl.normalize.NormalizedTBox` alive for the
-server's lifetime, so every later request against the same schema starts
-from the same object and its warm per-``content_key`` memos (Tp
-entailment, factorizations).
+:func:`repro.dl.normalize.normalize` caches its result on the ``TBox``
+object it is given, so a library caller that reuses one schema object
+normalizes it once.  A wire request carries the schema as JSON, and each
+decoded payload is a new ``TBox``; a *schema session* maps the payload to
+the :class:`~repro.dl.normalize.NormalizedTBox` normalized when the schema
+was first seen and keeps it alive for the server's lifetime, so every later
+request against the same schema starts from the same object, with the
+caches it carries (content key, the chase's compiled rules) already built.
 
 Sessions are keyed by the schema's *raw* CI text (cheap to compute from a
-wire payload), not by ``content_key`` (which requires normalizing first) —
-re-normalization is exactly the cost being amortized.  Two textually
-different schemas that normalize to the same ``content_key`` simply
-converge on the same downstream memo entries.
+wire payload), not by ``content_key`` (which requires normalizing first).
+Two textually different schemas that normalize to the same ``content_key``
+simply converge on the same downstream memo entries.
 """
 
 from __future__ import annotations
@@ -152,18 +152,22 @@ def reset_process_caches() -> None:
     """Drop every process-wide memo the service warms.
 
     This is the programmatic equivalent of a cold CLI start: the decision
-    memo, Tp cache, factorization cache, compiled-matcher caches, and the
-    bitset compilation cache are all cleared, and so is the vec table cache
-    when a fixpoint has loaded :mod:`repro.kernel.vec` (clearing it never
-    imports it, so a process that only decides stays free of numpy).
+    memo, the parsed-query table, Tp cache, factorization cache,
+    compiled-matcher caches, and the bitset compilation cache are all
+    cleared, and so is the vec table cache when a fixpoint has loaded
+    :mod:`repro.kernel.vec` (clearing it never imports it, so a process that
+    only decides stays free of numpy).  A normalized schema lives on the
+    caller's ``TBox`` object, not in a process table, so it is not cleared:
+    a caller that wants a cold normalization passes a new ``TBox``.
     Benchmarks use it to measure cold-vs-warm honestly; servers never call
     it.
     """
     from repro.core import containment, reduction
     from repro.kernel import bitset
-    from repro.queries import compiled, factorization
+    from repro.queries import compiled, factorization, parser
 
     containment._DECISION_MEMO.clear()
+    parser._PARSED.clear()
     reduction._TP_MEMO.clear()
     factorization._FACTORIZATION_MEMO.clear()
     compiled._AUTOMATON_MEMO.clear()

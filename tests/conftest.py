@@ -100,3 +100,25 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The query texts actually parsed, in call order, against a fresh
+    parsed-query table (``repro.queries.parser._PARSED``).  Each parse is
+    one ``parse_crpq`` call per disjunct; the texts these tests use are
+    single disjuncts."""
+    from repro.kernel.memo import BoundedMemo
+    from repro.queries import parser
+
+    calls = []
+    real_parse_crpq = parser.parse_crpq
+
+    def counting_parse_crpq(text):
+        calls.append(text)
+        return real_parse_crpq(text)
+
+    table = BoundedMemo(max_entries=parser._PARSED.max_entries)
+    monkeypatch.setattr(parser, "_PARSED", table)
+    monkeypatch.setattr(parser, "parse_crpq", counting_parse_crpq)
+    return calls

@@ -26,7 +26,7 @@ from repro.dl.types import clause_consistent
 from repro.graphs.graph import single_node_graph
 from repro.graphs.labels import NodeLabel
 from repro.graphs.types import Type, maximal_types
-from repro.kernel.vec import HAVE_NUMPY
+from repro.kernel.backend import HAVE_NUMPY
 from repro.queries.evaluation import satisfies_union
 from repro.queries.parser import parse_query
 

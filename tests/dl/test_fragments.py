@@ -113,6 +113,18 @@ class TestALCQFactorization:
                 expected = (component_count + leaves >= 2) and (component_count + leaves <= 3)
                 assert centre_ok == expected, (component_count, leaves)
 
+    def test_tc_leaves_the_normalization_cached_on_its_raw_tbox_untouched(self):
+        # T_c adds T's definitions and fresh names to a new object, so the
+        # result cached on T_c's raw TBox stays a plain normalization of it
+        tc = self.factor.connectors_tbox
+        raw = tc.original
+        cached = normalize(raw)
+        assert cached is not tc
+        assert cached == normalize(TBox(raw.cis, raw.name))
+        assert self.tbox.fresh_names <= tc.fresh_names
+        assert set(self.tbox.definitions) <= set(tc.definitions)
+        assert not self.tbox.fresh_names <= cached.fresh_names
+
     def test_inverse_roles_rejected(self):
         bad = normalize(TBox.of([("A", ">=2 r-.B")]))
         try:

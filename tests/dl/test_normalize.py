@@ -1,10 +1,15 @@
 """TBox normalization: normal forms, conservativity, fragment detection."""
 
+import copy
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.containment import ContainmentOptions, is_contained
 from repro.dl.concepts import parse_concept
 from repro.dl.normalize import nnf, normalize
+from repro.dl.pg_schema import figure1_schema
 from repro.dl.tbox import TBox
 from repro.graphs.generators import random_graph
 
@@ -99,3 +104,43 @@ class TestConservativity:
         )
         if normalized.satisfied_by(graph):
             assert tbox.satisfied_by(graph)
+
+
+class TestCachedOnTheTBox:
+    """``normalize`` caches its result on the TBox object it is given."""
+
+    def test_same_object_is_returned_and_points_back(self):
+        tbox = TBox.of(SCHEMAS[0])
+        normalized = normalize(tbox)
+        assert normalize(tbox) is normalized
+        assert normalized.original is tbox
+
+    def test_pickles_and_copies_carry_no_cache(self):
+        tbox = figure1_schema()
+        normalized = normalize(tbox)
+        options = ContainmentOptions(use_cache=False)
+        assert is_contained("Customer(x)", "owns(x,y)", tbox, options=options).contained
+        assert "_chase_rules" in vars(normalized)
+        for clone in (pickle.loads(pickle.dumps(tbox)), copy.deepcopy(tbox)):
+            assert clone == tbox
+            assert normalize(clone) is not normalized
+            assert normalize(clone) == normalized
+        clone = pickle.loads(pickle.dumps(normalized))
+        assert clone == normalized and "_chase_rules" not in vars(clone)
+
+    def test_equal_but_distinct_tbox_gets_its_own_object_and_verdicts(self):
+        tbox = figure1_schema()
+        twin = TBox(tbox.cis, tbox.name)
+        assert twin == tbox and twin is not tbox
+        assert normalize(twin) is not normalize(tbox)
+        assert normalize(twin) == normalize(tbox)
+        options = ContainmentOptions(use_cache=False)
+        q1 = "(owns.earns.partner.owns*)(x,y)"
+        q2 = "(owns.earns.partner)(x,z), RetailCompany(z), owns*(z,y)"
+        for lhs, rhs in ((q2, q1), ("Customer(x)", "owns(x,y)"), ("CredCard(x)", "Customer(x)")):
+            answers = []
+            for schema in (tbox, twin):
+                r = is_contained(lhs, rhs, schema, options=options)
+                model = r.countermodel.describe() if r.countermodel is not None else None
+                answers.append((r.contained, r.complete, r.method, r.seeds_tried, model))
+            assert answers[0] == answers[1], (lhs, rhs)

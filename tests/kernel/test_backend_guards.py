@@ -12,7 +12,7 @@ import pytest
 from repro.dl.normalize import NormalizedTBox
 from repro.dl.types import consistent_types
 from repro.kernel import vec
-from repro.kernel.vec import (
+from repro.kernel.backend import (
     HAVE_NUMPY,
     VEC_MAX_ROWS,
     VecUnavailable,

@@ -24,8 +24,8 @@ from repro.dl.normalize import AtLeastCI, NormalizedTBox, normalize
 from repro.dl.tbox import TBox
 from repro.graphs.labels import NodeLabel, Role
 from repro.graphs.types import Type
-from repro.kernel import vec
-from repro.kernel.vec import HAVE_NUMPY, VEC_MAX_ROWS, resolve_backend
+from repro.kernel import backend as kernel_backend
+from repro.kernel.backend import HAVE_NUMPY, VEC_MAX_ROWS, resolve_backend
 from repro.obs import REGISTRY, counter_delta
 from repro.queries.parser import parse_query
 
@@ -154,7 +154,7 @@ def test_resolve_backend_records_table_too_large():
 
 
 def test_resolve_backend_records_numpy_missing(monkeypatch):
-    monkeypatch.setattr(vec, "HAVE_NUMPY", False)
+    monkeypatch.setattr(kernel_backend, "HAVE_NUMPY", False)
     before = REGISTRY.counters_snapshot()
     assert resolve_backend("auto", 2**20) == "bitset"
     delta = counter_delta(before, REGISTRY.counters_snapshot())

@@ -1,10 +1,13 @@
-"""numpy and the vec kernel load only inside the Section 5–6 fixpoints.
+"""numpy and the vec kernel load only when a fixpoint resolves to vec.
 
 Deciding and serving never call the fixpoints, so a fresh interpreter that
 imports the CLI and the gateway, decides, registers a schema, serves a
 decide line and resets the process caches must not have imported numpy,
-``repro.kernel.vec`` or ``repro.kernel.vec_fixpoint``.  A vec fixpoint run
-in that same process then loads them and agrees with the bitset run.
+``repro.kernel.vec`` or ``repro.kernel.vec_fixpoint``.  Neither may a
+fixpoint that resolves to the bitset kernel: an explicit ``bitset`` oneway
+call, an ``auto`` one below the 4,096-row switch, or a ``bitset`` type
+enumeration.  A vec fixpoint run in that same process then loads them and
+agrees with the bitset run.
 """
 
 import json
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernel.vec import HAVE_NUMPY
+from repro.kernel.backend import HAVE_NUMPY
 
 REPO = Path(__file__).resolve().parents[2]
 VEC_MODULES = ("numpy", "repro.kernel.vec", "repro.kernel.vec_fixpoint")
@@ -43,23 +46,34 @@ out["served"] = [(r["type"], r.get("id")) for r in responses]
 reset_process_caches()
 out["after_serving"] = [m for m in MODULES if m in sys.modules]
 
-if sys.argv[1] == "vec":
-    from repro.core.oneway import realizable_refuting_oneway
-    from repro.core.search import SearchLimits
-    from repro.graphs.types import Type
-    from repro.dl.normalize import normalize
-    from repro.queries.parser import parse_query
+from repro.core.oneway import realizable_refuting_oneway
+from repro.core.search import SearchLimits
+from repro.dl.normalize import normalize
+from repro.dl.types import consistent_types
+from repro.graphs.types import Type
+from repro.queries.parser import parse_query
 
-    width = 10  # the E21 chain: |Γ₀| = 12, a 4,096-row table
+
+def chain_oneway(width, backend):
+    # the E21 chain; width 3 stays below the auto switch
     chain = normalize(TBox.of([(f"A{i}", f"A{i + 1}") for i in range(width - 1)]))
     query = parse_query(f"Z(x), r(x,y), A{width - 1}(y)")
+    return realizable_refuting_oneway(
+        Type.of("A0"), chain, query,
+        limits=SearchLimits(max_nodes=4, max_steps=4000),
+        backend=backend,
+    )
+
+
+out["small_backends"] = [chain_oneway(3, b).backend for b in ("bitset", "auto")]
+pair = normalize(TBox.of([("A0", "A1")]))
+out["small_types"] = len(list(consistent_types(pair, ["A0", "A1", "A2"], backend="bitset")))
+out["after_bitset"] = [m for m in MODULES if m in sys.modules]
+
+if sys.argv[1] == "vec":
     survivors = {}
     for backend in ("vec", "bitset"):
-        result = realizable_refuting_oneway(
-            Type.of("A0"), chain, query,
-            limits=SearchLimits(max_nodes=4, max_steps=4000),
-            backend=backend,
-        )
+        result = chain_oneway(10, backend)  # |Γ₀| = 12, a 4,096-row table
         survivors[backend] = sorted(str(t) for t in result.survivors)
         out[f"backend_{backend}"] = result.backend
         if backend == "vec":
@@ -86,6 +100,9 @@ def test_serving_loads_no_numpy_until_a_vec_fixpoint_runs():
     assert out["schema_names"] <= 12
     assert out["served"] == [["verdict", "d1"]]
     assert out["after_serving"] == []
+    assert out["small_backends"] == ["bitset", "bitset"]
+    assert out["small_types"] == 6
+    assert out["after_bitset"] == []
     if not HAVE_NUMPY:
         pytest.skip("numpy not installed; the vec half needs it")
     assert out["after_vec"] == list(VEC_MODULES)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.kernel.vec import HAVE_NUMPY
+from repro.kernel.backend import HAVE_NUMPY
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 BENCH = REPO_ROOT / "benchmarks" / "bench_twoway_vec.py"

@@ -16,13 +16,18 @@ from hypothesis import strategies as st
 
 from repro.core.oneway import realizable_refuting_oneway
 from repro.core.search import SearchLimits
-from repro.core.twoway import TwoWayConfig, _enumerate_types, realizable_refuting_twoway
+from repro.core.twoway import (
+    TwoWayConfig,
+    _enumerate_types,
+    realizable_refuting_twoway,
+    vec_fallback_reason,
+)
 from repro.dl.normalize import ClauseCI, NormalizedTBox, normalize
 from repro.dl.tbox import TBox
 from repro.graphs.labels import NodeLabel
 from repro.graphs.types import Type
+from repro.kernel.backend import HAVE_NUMPY
 from repro.kernel.bitset import CompiledClauses, TypeKernel
-from repro.kernel.vec import HAVE_NUMPY
 from repro.queries.parser import parse_query
 
 if not HAVE_NUMPY:  # pragma: no cover - exercised only in numpy-less envs
@@ -31,7 +36,7 @@ if not HAVE_NUMPY:  # pragma: no cover - exercised only in numpy-less envs
 import numpy as np
 
 from repro.kernel.vec import VecClauseMatrix, enumerate_consistent_table, unpack_row
-from repro.kernel.vec_fixpoint import TwowayVecEnumerator, vec_fallback_reason
+from repro.kernel.vec_fixpoint import TwowayVecEnumerator
 
 NAMES = [f"A{i}" for i in range(8)]
 

@@ -175,6 +175,7 @@ def test_shutdown_closes_one_connection_not_the_gateway():
             bye = await doomed.ask({"type": "shutdown", "id": "end"})
             assert bye == {"type": "bye", "id": "end"}
             assert await doomed.reader.read() == b""  # connection closed
+            await doomed.close()
             # the other tenant's connection is unaffected
             pong = await survivor.ask({"type": "ping", "id": "still-here"})
             assert pong["type"] == "pong"
@@ -458,5 +459,6 @@ def test_stop_resolves_parked_connections():
         # client sits parked in the gateway's readline; stop() must not hang
         await asyncio.wait_for(gateway.stop(), timeout=20)
         assert await client.reader.read() == b""
+        await client.close()
 
     run(scenario())

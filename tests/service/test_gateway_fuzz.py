@@ -92,6 +92,7 @@ def test_oversized_line_drops_only_that_connection():
             await writer.drain()
             # the gateway hangs up on the overflowing client
             assert await asyncio.wait_for(reader.read(), timeout=30) == b""
+            writer.close()
             assert gateway.metrics.counter("gateway_line_overflow") == 1
             assert gateway.metrics.counter("connections_dropped") == 1
             await healthy_roundtrip(port)

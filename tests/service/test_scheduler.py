@@ -17,13 +17,14 @@ from repro.dl.tbox import TBox
 from repro.graphs.graph import Graph
 from repro.io import query_to_text, tbox_to_dict, verdict_to_dict
 from repro.obs import REGISTRY
-from repro.queries.parser import parse_query
+from repro.queries import parser as parser_module
+from repro.queries.parser import parse_crpq, parse_query
 from repro.resilience.audit import VerdictAuditor
 from repro.service import scheduler as scheduler_module
 from repro.service.cache import DecisionCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import Request, parse_request
-from repro.service.scheduler import QUERY_INTERN_MAX, DecisionScheduler
+from repro.service.scheduler import DecisionScheduler
 from repro.workloads.generators import log_like_queries
 
 
@@ -136,19 +137,6 @@ class TestValidation:
         assert error["type"] == "error" and "ghost" in error["error"]
 
 
-@pytest.fixture
-def parsed(monkeypatch):
-    """The texts the scheduler hands to ``parse_query``, in call order."""
-    calls = []
-
-    def counting_parse(text):
-        calls.append(text)
-        return parse_query(text)
-
-    monkeypatch.setattr(scheduler_module, "parse_query", counting_parse)
-    return calls
-
-
 class TestInterning:
     def test_same_text_yields_same_query_object(self, parsed):
         scheduler = DecisionScheduler()
@@ -170,14 +158,18 @@ class TestInterning:
             assert error["type"] == "error"
             assert error["error"].startswith("query parse error")
         assert parsed == ["not a query ((", "not a query (("]
-        assert "not a query ((" not in scheduler._queries
+        assert "not a query ((" not in parser_module._PARSED
         assert scheduler.pending() == 0
 
-    def test_table_stays_at_its_cap(self):
+    def test_table_stays_at_its_cap(self, parsed):
         scheduler = DecisionScheduler()
-        for seq in range(QUERY_INTERN_MAX + 10):
+        cap = parser_module._PARSED.max_entries
+        for seq in range(cap + 10):
             assert scheduler.submit(_decide(seq, lhs=f"A{seq}(x)", rhs="B(x)")) is None
-        assert len(scheduler._queries) == QUERY_INTERN_MAX
+        assert len(parser_module._PARSED) == cap
+        # FIFO: the first texts were evicted, the newest are kept
+        assert "A0(x)" not in parser_module._PARSED
+        assert f"A{cap + 9}(x)" in parser_module._PARSED
 
     def test_cached_query_key_equals_fresh_computation(self):
         scheduler = DecisionScheduler()
@@ -188,13 +180,17 @@ class TestInterning:
             )
         ]
         for text in texts:
-            interned = scheduler._intern(text)
+            assert scheduler.submit(_decide(1, lhs=text, rhs=text)) is None
+            (item,) = scheduler._queue
+            scheduler._queue.clear()
+            interned = item.lhs
+            assert interned is item.rhs is parse_query(text)
             fresh = tuple(
                 (
                     tuple(str(atom) for atom in disjunct.atoms),
                     tuple(sorted(str(v) for v in disjunct.isolated_variables)),
                 )
-                for disjunct in parse_query(text)
+                for disjunct in (parse_crpq(part) for part in text.split(";"))
             )
             assert query_key(interned) == fresh
             # the second call answers from the cache on the object
