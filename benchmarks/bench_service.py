@@ -5,8 +5,8 @@ pays every time: query parsing and schema normalization (a cold process
 starts with an empty parsed-query table and decodes a new TBox; the
 service keeps one schema session per distinct TBox), repeated identical
 decisions (in-batch dedup), and — across runs — the search itself (the
-persistent decision journal).  This benchmark replays query-log-like request batches that all
-share one schema and measures:
+persistent decision journal).  This benchmark replays query-log-like
+request batches that all share one schema and measures:
 
 * **sequential cold** — each request handled on its own with all process
   caches reset and the schema re-normalized, emulating N independent CLI

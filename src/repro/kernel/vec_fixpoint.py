@@ -32,13 +32,13 @@ obs registry, so explain reports show the per-wave bulk-op timings.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.dl.normalize import NormalizedTBox
 from repro.graphs.labels import NodeLabel
 from repro.graphs.types import Type
-from repro.kernel.bitset import TypeKernel, compiled_clauses_for
 from repro.kernel.backend import HAVE_NUMPY, require_numpy
+from repro.kernel.bitset import TypeKernel, compiled_clauses_for
 from repro.kernel.vec import (
     VecClauseMatrix,
     VecTypeTable,

@@ -3,8 +3,6 @@
 import copy
 import json
 
-import pytest
-
 from repro.core.containment import (
     ContainmentOptions,
     ContainmentResult,
