@@ -37,7 +37,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.core.search import SearchLimits
-from repro.dl.fragments import alcq_factorization
+from repro.dl.fragments import ALCQFactorization, alcq_factorization
 from repro.dl.normalize import NormalizedTBox
 from repro.dl.types import clause_consistent
 from repro.graphs.graph import Graph, single_node_graph
@@ -505,6 +505,18 @@ def _entailment_mod_reachability(
     return result
 
 
+def _factorization(
+    tbox: NormalizedTBox, config: TwoWayConfig, depth: int
+) -> ALCQFactorization:
+    """(Γ_T, T_p, T_c) for ``tbox`` at ``depth``, built once per config:
+    every P1/P2 context over one TBox and depth needs it, memo hit or not."""
+    key = ("factorization", tbox.content_key(), depth)
+    factor = config.memo.get(key)
+    if factor is None:
+        factor = config.memo[key] = alcq_factorization(tbox, tag=f"g{depth}")
+    return factor
+
+
 def _p1_fixpoint(
     tau: Type,
     tbox: NormalizedTBox,
@@ -517,7 +529,7 @@ def _p1_fixpoint(
     """The shared P1 least fixpoint for one ``(TBox, Θ, Σ₀, names)``
     context: the set Ψ of types realizable at component roots."""
     sigma_t = frozenset(tbox.role_names())
-    factor = alcq_factorization(tbox, tag=f"g{depth}")
+    factor = _factorization(tbox, config, depth)
     counter_groups = [labels for labels in factor.counters.values()]
     counter_names = {lbl.name for group in counter_groups for lbl in group}
     free_names = sorted(
@@ -644,7 +656,7 @@ def _p2_fixpoint(
     """The shared P2 greatest fixpoint for one ``(TBox, Θ, names)``
     context: the surviving role-alternating types."""
     sigma_t = sorted(tbox.role_names())
-    factor = alcq_factorization(tbox, tag=f"g{depth}")
+    factor = _factorization(tbox, config, depth)
     q_mod_sigma_t = drop_reachability(q_hat, sigma_t)
     role_labels = {r: NodeLabel(f"Crole_{r}") for r in sigma_t}
     counter_groups = list(factor.counters.values())

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator
 
 from repro.dl.normalize import NormalizedTBox
 from repro.graphs.types import Type
-from repro.kernel.backend import resolve_backend
 from repro.kernel.bitset import compiled_clauses_for
 
 
@@ -50,27 +49,13 @@ def clause_consistent_reference(tbox: NormalizedTBox, node_type: Type) -> bool:
     return True
 
 
-def consistent_types(
-    tbox: NormalizedTBox, names: Iterable[str], backend: str = "auto"
-) -> Iterator[Type]:
+def consistent_types(tbox: NormalizedTBox, names: Iterable[str]) -> Iterator[Type]:
     """Enumerate maximal types over ``names`` that satisfy the clausal CIs.
 
-    Enumeration runs on the bitset kernel (or, for ``backend="vec"`` /
-    large ``"auto"`` signatures with numpy available, the bit-matrix
-    kernel — same types, same increasing-integer order); ``Type`` objects
-    are only built for the survivors.
-
-    Not itself a generator: the backend resolves (and an infeasible
-    explicit ``backend="vec"`` raises :class:`~repro.kernel.backend.
-    VecUnavailable`) at call time, not at the first ``next()``.
+    Enumeration runs on the bitset kernel's prefix-pruned search, in
+    increasing-integer order; ``Type`` objects are only built for the
+    survivors.
     """
     compiled = compiled_clauses_for(tbox, names)
     decode = compiled.kernel.decode
-    chosen = resolve_backend(backend, 1 << compiled.kernel.size)
-    if chosen == "vec":
-        from repro.kernel.vec import consistent_ints_vec
-
-        bit_source: Iterable[int] = consistent_ints_vec(tbox, names)
-    else:
-        bit_source = compiled.consistent_bits()
-    return (decode(bits) for bits in bit_source)
+    return (decode(bits) for bits in compiled.consistent_bits())

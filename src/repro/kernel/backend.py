@@ -1,12 +1,11 @@
 """Fixpoint backend selection, without loading numpy.
 
 The Section 5–6 fixpoint entry points (``realizable_refuting_oneway``,
-``realizable_refuting_twoway``, :func:`repro.dl.types.consistent_types`)
-take a ``backend`` argument and resolve it here.  This module only asks
-whether numpy *could* be imported (``importlib.util.find_spec``), so a
-``bitset`` call, or an ``auto`` call below :data:`VEC_AUTO_THRESHOLD` rows,
-never loads numpy or :mod:`repro.kernel.vec`; only a call that resolves to
-``vec`` imports them.
+``realizable_refuting_twoway``) take a ``backend`` argument and resolve it
+here.  This module only asks whether numpy *could* be imported
+(``importlib.util.find_spec``), so a ``bitset`` call, or an ``auto`` call
+below :data:`VEC_AUTO_THRESHOLD` rows, never loads numpy or
+:mod:`repro.kernel.vec`; only a call that resolves to ``vec`` imports them.
 """
 
 from __future__ import annotations
@@ -22,9 +21,11 @@ BACKENDS = ("auto", "bitset", "vec")
 
 VEC_AUTO_THRESHOLD = 4096
 """``backend="auto"`` selects the vec backend when the candidate table has
-at least this many rows (2^|Γ₀| for the elimination procedures).  Below the
-threshold the numpy round trips cost more than the Python loops they
-replace; above it the bulk filters win by widening margins."""
+at least this many rows (2^|Γ₀| for the elimination procedures).  The
+switch sits where the backends met while both tested every one of the
+2^|Γ₀| candidates.  Since the consistent types come from a prefix-pruned
+search shared by both backends, the oneway bitset path is no slower at
+any width; the twoway candidate spaces are still materialized whole."""
 
 VEC_MAX_ROWS = 1 << 62
 """Largest candidate table the vec backend will materialize.  Candidate

@@ -7,7 +7,10 @@ names — an n-bit integer with bit i set iff Aᵢ ∈ τ.  On that encoding
 * hashing and equality are the int's own (O(1));
 * "τ refines σ" (σ ⊇ τ for a partial type τ) is two mask tests;
 * a clausal CI evaluates in a handful of AND/compare ops once its literals
-  are compiled to (body_pos, body_neg, head_pos, head_neg) masks.
+  are compiled to (body_pos, body_neg, head_pos, head_neg) masks;
+* the clause-consistent types come from a prefix-pruned search
+  (:meth:`CompiledClauses.search`) that tests a candidate per kept prefix,
+  not each of the 2^|Γ₀| types — both backends' fixpoints start from it.
 
 The kernel is purely local to a signature: :class:`TypeKernel` interns one
 Γ₀ and converts to/from the frozenset :class:`~repro.graphs.types.Type`
@@ -16,7 +19,7 @@ API, so callers can adopt it incrementally.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.dl.normalize import ClauseCI, NormalizedTBox
 from repro.graphs.labels import NodeLabel
@@ -106,10 +109,6 @@ class TypeKernel:
         bit = 1 << i
         return (0, bit) if literal.negated else (bit, 0)
 
-    def all_types(self) -> range:
-        """All 2^|Γ₀| maximal types, as the integers 0 … 2^n − 1."""
-        return range(1 << self.size)
-
 
 class CompiledClauses:
     """Clausal CIs of a TBox compiled to bitmasks over one kernel.
@@ -168,12 +167,54 @@ class CompiledClauses:
                     return False
         return True
 
-    def consistent_bits(self) -> Iterator[int]:
-        """All clause-consistent maximal types over the kernel's Γ₀."""
-        consistent = self.consistent
-        for bits in self.kernel.all_types():
-            if consistent(bits):
-                yield bits
+    def consistent_bits(self) -> list[int]:
+        """All clause-consistent maximal types over the kernel's Γ₀, in
+        increasing-integer order."""
+        return self.search()[0]
+
+    def search(self) -> tuple[list[int], int]:
+        """(clause-consistent types in increasing-integer order, candidates
+        tested), by a prefix-pruned depth-first search.
+
+        Names are assigned from the highest bit down, 0 before 1, so the
+        kept leaves come out in increasing-integer order.  A clause is
+        decided once its lowest name is assigned; a prefix it fires on is
+        dropped with every completion, so the search tests a candidate per
+        kept prefix and value instead of all 2^|Γ₀| types.  A clause that
+        folded to ⊤ ⊑ ⊥ (no name left) fires on the empty prefix.
+        """
+        decided_at: list[list[tuple[int, int, int, int]]] = [
+            [] for _ in range(self.kernel.size)
+        ]
+        for row in self.rows:
+            mask = row[0] | row[1] | row[2] | row[3]
+            if not mask:
+                return [], 0
+            decided_at[(mask & -mask).bit_length() - 1].append(row)
+        found: list[int] = []
+        tested = 0
+        stack = [(self.kernel.size, 0)]
+        while stack:
+            level, prefix = stack.pop()
+            if not level:
+                found.append(prefix)
+                continue
+            level -= 1
+            rows = decided_at[level]
+            # pushed 1 first, so the 0-extension is searched first
+            for bits in (prefix | 1 << level, prefix):
+                tested += 1
+                for body_pos, body_neg, head_pos, head_neg in rows:
+                    if (
+                        (bits & body_pos) == body_pos
+                        and not bits & body_neg
+                        and not bits & head_pos
+                        and (bits & head_neg) == head_neg
+                    ):
+                        break
+                else:
+                    stack.append((level, bits))
+        return found, tested
 
 
 # --------------------------------------------------------------------- #
@@ -200,11 +241,6 @@ def compiled_clauses_for(
         cached = CompiledClauses(TypeKernel(signature), tbox.clauses)
         _COMPILED_CACHE[key] = cached
     return cached
-
-
-def enumerate_consistent_bits(tbox: NormalizedTBox, names: Iterable[str]) -> Iterator[int]:
-    """Clause-consistent maximal types over ``names``, as integers."""
-    return compiled_clauses_for(tbox, names).consistent_bits()
 
 
 # --------------------------------------------------------------------- #
@@ -274,5 +310,4 @@ def inert_partition(
         if all(l.name in inert_set for l in cl.body | cl.head)
     ]
     compiled = CompiledClauses(TypeKernel(inert), inert_clauses)
-    count = sum(1 for _bits in compiled.consistent_bits())
-    return core, inert, count
+    return core, inert, len(compiled.consistent_bits())

@@ -7,12 +7,17 @@ words per row, bit *i* of the row set iff name *i* is positive — and runs
 the table-level passes of the fixpoint procedures as bulk boolean ops over
 *all* candidate types at once:
 
-* clause-consistency filtering (every clausal CI evaluated against every
-  row in one sweep, :class:`VecClauseMatrix`);
 * literal-mask refinement ("which rows contain this partial type",
   :meth:`VecTypeTable.refine_mask`);
+* clause-consistency masks over a candidate matrix (every clausal CI
+  evaluated against every row in one sweep, :class:`VecClauseMatrix`,
+  for the twoway candidate spaces);
 * filler/candidate selection and alive-set bookkeeping for the elimination
   waves (:mod:`repro.kernel.vec_fixpoint`).
+
+The rows of a consistent-type table come from the bitset kernel's
+prefix-pruned search (:meth:`~repro.kernel.bitset.CompiledClauses.search`),
+packed once; ``vec.rows_filtered`` counts the candidates that search tested.
 
 The graph-level oracles (chase productivity, star evaluation) are shared
 with the bitset path, so verdicts, eliminated-type sets, and countermodels
@@ -28,7 +33,7 @@ kernel.  This module is imported only once a call has resolved to vec.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from repro.dl.normalize import NormalizedTBox
 from repro.kernel.backend import VecUnavailable, require_numpy
@@ -41,9 +46,6 @@ except ImportError:  # pragma: no cover - callers check require_numpy() first
     _np = None
 
 _WORD = 64
-_ENUM_CHUNK = 1 << 16
-"""Rows filtered per chunk during full-table enumeration, bounding peak
-memory at ``chunk * words * 8`` bytes regardless of 2^|Γ₀|."""
 
 
 # --------------------------------------------------------------------- #
@@ -112,59 +114,6 @@ class VecClauseMatrix:
                 break
         return ok
 
-    def filter_consistent(self, table):
-        """The subset of the table's rows satisfying every clause, in the
-        original row order.  Unlike :meth:`consistent_mask` this compacts
-        the table after each clause, so later clauses never re-test rows an
-        earlier clause already killed — the enumeration hot path, where most
-        candidates die early.  Boolean indexing preserves order, so the
-        result equals ``table[self.consistent_mask(table)]`` exactly."""
-        zero = _np.uint64(0)
-        for body_pos, body_neg, head_pos, head_neg in self._rows:
-            if table.shape[0] == 0:
-                break
-            fires = _np.ones(table.shape[0], dtype=bool)
-            for w in range(self.words):
-                col = table[:, w]
-                fires &= (col & body_pos[w]) == body_pos[w]
-                fires &= (col & body_neg[w]) == zero
-                fires &= (col & head_pos[w]) == zero
-                fires &= (col & head_neg[w]) == head_neg[w]
-            if fires.any():
-                table = table[~fires]
-        return table
-
-
-def enumerate_consistent_table(compiled: CompiledClauses):
-    """All clause-consistent maximal types over the kernel's Γ₀, as a
-    ``(k × words)`` uint64 bit matrix in increasing-integer order — the
-    vectorized twin of :meth:`CompiledClauses.consistent_bits`.
-
-    Enumeration materializes all 2^n candidate rows in bounded chunks and
-    filters each chunk through the clause matrix in bulk.  Signatures wider
-    than 63 names cannot be exhaustively enumerated (2^64 rows) and raise
-    :class:`VecUnavailable` so callers fall back to the streaming kernel.
-    """
-    require_numpy()
-    n = compiled.kernel.size
-    if n > 63:
-        raise VecUnavailable(
-            f"cannot enumerate 2^{n} maximal types as a bit matrix; "
-            "use the bitset kernel's streaming enumeration"
-        )
-    matrix = VecClauseMatrix(compiled)
-    total = 1 << n
-    kept = []
-    with span("vec.wave", op="enumerate", rows=total) as sp:
-        for start in range(0, total, _ENUM_CHUNK):
-            stop = min(start + _ENUM_CHUNK, total)
-            chunk = _np.arange(start, stop, dtype=_np.uint64).reshape(-1, 1)
-            kept.append(matrix.filter_consistent(chunk))
-        table = _np.concatenate(kept) if kept else _np.empty((0, 1), dtype=_np.uint64)
-        sp.set(consistent=int(table.shape[0]))
-    REGISTRY.inc_many({"vec.bulk_ops": 1, "vec.rows_filtered": total})
-    return table
-
 
 class VecTypeTable:
     """A fixed table of maximal types (one uint64 bit-matrix row each) with
@@ -188,11 +137,23 @@ class VecTypeTable:
 
     @classmethod
     def from_consistent(cls, compiled: CompiledClauses) -> "VecTypeTable":
-        table = enumerate_consistent_table(compiled)
-        if table.shape[1] == 1:
-            ints = table[:, 0].tolist()  # bulk uint64 → Python int
-        else:  # pragma: no cover - enumeration caps at 63 names
-            ints = [unpack_row(row) for row in table]
+        """The clause-consistent maximal types over the kernel's Γ₀ as a
+        ``(k × 1)`` matrix, in the bitset search's increasing-integer order.
+        Signatures wider than one uint64 word raise :class:`VecUnavailable`,
+        so callers stay on the bitset kernel.
+        """
+        require_numpy()
+        n = compiled.kernel.size
+        if n > _WORD:
+            raise VecUnavailable(
+                f"a vec table row is one uint64 word, which holds at most "
+                f"{_WORD} names, not {n}; use the bitset kernel"
+            )
+        with span("vec.wave", op="enumerate") as sp:
+            ints, tested = compiled.search()
+            table = _np.array(ints, dtype=_np.uint64).reshape(-1, 1)
+            sp.set(rows=tested, consistent=len(ints))
+        REGISTRY.inc_many({"vec.bulk_ops": 1, "vec.rows_filtered": tested})
         return cls(compiled.kernel, table, ints)
 
     def __len__(self) -> int:
@@ -283,9 +244,3 @@ def vec_table_for(tbox: NormalizedTBox, names: Iterable[str]) -> VecTypeTable:
         total -= len(_TABLE_CACHE.pop(next(iter(_TABLE_CACHE))))
     _TABLE_CACHE[key] = table
     return table
-
-
-def consistent_ints_vec(tbox: NormalizedTBox, names: Iterable[str]) -> list[int]:
-    """Clause-consistent maximal types over ``names`` as integers, via the
-    bulk enumeration (identical to ``enumerate_consistent_bits`` order)."""
-    return list(vec_table_for(tbox, names).ints)

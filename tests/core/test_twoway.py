@@ -242,6 +242,39 @@ def test_e22_base_instance_pinned(backend):
     assert len(result.survivors) == 12
 
 
+def test_one_call_factors_each_tbox_once(monkeypatch):
+    """The P1/P2 contexts of one call share each (TBox, depth)'s ALCQ
+    factorization: on A ⊑ ≥1 r.B it is built for its two distinct inputs
+    once each (21 times before), and the pinned result does not move."""
+    from repro.core import twoway
+
+    built = []
+    factor = twoway.alcq_factorization
+
+    def counting(tbox, tag=""):
+        built.append((tbox.content_key(), tag))
+        return factor(tbox, tag=tag)
+
+    monkeypatch.setattr(twoway, "alcq_factorization", counting)
+    tbox = normalize(TBox.of([("A", ">=1 r.B")], name="e22_1_0"))
+    config = TwoWayConfig(
+        limits=SearchLimits(max_nodes=3, max_steps=500),
+        max_types=2**22,
+        max_connector_candidates=5_000_000,
+        backend="bitset",
+    )
+    result = realizable_refuting_twoway(
+        Type.of("A"), tbox, parse_query("A(x), r(x,y), B(y)"), config=config
+    )
+    assert len(built) == 2
+    assert len(set(built)) == 2
+    assert not result.realizable
+    assert result.stats == {
+        "types_checked": 84, "cache_hits": 70, "witnesses_materialized": 1448,
+    }
+    assert len(result.survivors) == 12
+
+
 def _connector_exists_reference(
     center, pool, connectors_tbox, refute, roles, max_leaves, counters
 ):

@@ -10,7 +10,6 @@ not just entry count.
 import pytest
 
 from repro.dl.normalize import NormalizedTBox
-from repro.dl.types import consistent_types
 from repro.kernel import vec
 from repro.kernel.backend import (
     HAVE_NUMPY,
@@ -38,14 +37,6 @@ def test_auto_never_selects_vec_beyond_enum_limit():
 def test_explicit_vec_beyond_enum_limit_raises_eagerly():
     with pytest.raises(VecUnavailable, match="candidate rows"):
         resolve_backend("vec", VEC_MAX_ROWS * 2)
-
-
-@needs_numpy
-def test_consistent_types_vec_wide_signature_raises_at_call_time():
-    wide = [f"A{i}" for i in range(70)]
-    # the error must surface here, not at the first next() of the result
-    with pytest.raises(VecUnavailable):
-        consistent_types(_empty_tbox(), wide, backend="vec")
 
 
 @needs_numpy

@@ -3,7 +3,8 @@
 The property suites cover random mid-sized signatures; these pin the
 degenerate ends — Γ₀ = ∅ (one maximal type: the empty type) and |Γ₀| = 1 —
 plus the out-of-Γ₀ literal folding rules on those signatures, where an
-off-by-one in mask construction would be invisible to the random tests.
+off-by-one in mask construction would be invisible to the random tests,
+and a signature too wide for any scan of its 2^|Γ₀| candidates.
 """
 
 from repro.dl.normalize import ClauseCI
@@ -25,9 +26,6 @@ class TestEmptySignature:
         assert sigma == Type([])
         assert sigma.signature() == frozenset()
         assert kernel.encode(sigma) == 0
-
-    def test_all_types_is_exactly_the_empty_type(self):
-        assert list(TypeKernel([]).all_types()) == [0]
 
     def test_no_clauses_keeps_the_empty_type(self):
         compiled = CompiledClauses(TypeKernel([]), [])
@@ -103,3 +101,21 @@ class TestSingleName:
             [clause([NodeLabel("A"), NodeLabel("A", True)], [])],
         )
         assert list(compiled.consistent_bits()) == [0, 1]
+
+
+class TestWideSignature:
+    def test_forty_name_chain_enumerates_its_41_types(self):
+        # A0 ⊑ A1 ⊑ … ⊑ A39: a type is consistent iff its positive names are
+        # A_t … A_39 for some t ≤ 40.  A scan would test 2^40 candidates.
+        names = [f"A{i}" for i in range(40)]
+        kernel = TypeKernel(names)
+        compiled = CompiledClauses(
+            kernel,
+            [clause([NodeLabel(f"A{i}")], [NodeLabel(f"A{i + 1}")]) for i in range(39)],
+        )
+        expected = sorted(
+            sum(1 << kernel.index[f"A{i}"] for i in range(t, 40)) for t in range(41)
+        )
+        found, tested = compiled.search()
+        assert found == expected
+        assert tested < 10_000

@@ -3,11 +3,12 @@
 Random clausal TBoxes over signatures up to |Γ₀| = 10; the kernel's
 compiled-clause evaluation, encode/decode round-trip, refinement test, and
 consistent-type enumeration must match the original frozenset
-implementations literal for literal.
+implementations literal for literal.  The enumeration must also list
+exactly what a scan of all 2^|Γ₀| candidates keeps, in the same order.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dl.normalize import ClauseCI, NormalizedTBox
@@ -17,6 +18,8 @@ from repro.graphs.types import Type, maximal_types
 from repro.kernel.bitset import CompiledClauses, TypeKernel, inert_partition
 
 NAMES = [f"A{i}" for i in range(10)]
+OUTSIDE = ["B0", "B1"]
+"""Names no drawn signature contains: the kernel folds their literals away."""
 
 
 @st.composite
@@ -49,9 +52,9 @@ def tboxes(draw, names):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, outside=()):
     names = draw(signatures())
-    tbox = draw(tboxes(names))
+    tbox = draw(tboxes(names + list(outside)))
     bits = draw(st.integers(min_value=0, max_value=2 ** len(names) - 1))
     return names, tbox, bits
 
@@ -94,18 +97,28 @@ def test_refines_matches_frozenset_subset(instance, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(instances())
+@given(instances(outside=OUTSIDE))
+@example((
+    ["A0", "A1"],
+    # ¬B0 always holds and B1 never does: the clause folds to ⊤ ⊑ ⊥
+    NormalizedTBox(
+        clauses=[ClauseCI(frozenset({NodeLabel("B0", True)}), frozenset({NodeLabel("B1")}))],
+        universals=[], at_leasts=[], at_mosts=[], name="prop",
+    ),
+    0,
+))
 def test_consistent_enumeration_matches_filtering(instance):
     names, tbox, _bits = instance
     kernel = TypeKernel(names)
     compiled = CompiledClauses(kernel, tbox.clauses)
-    via_kernel = {kernel.decode(bits) for bits in compiled.consistent_bits()}
+    scan = [bits for bits in range(1 << len(names)) if compiled.consistent(bits)]
+    assert compiled.consistent_bits() == scan
     via_reference = {
         sigma
         for sigma in maximal_types(names)
         if clause_consistent_reference(tbox, sigma)
     }
-    assert via_kernel == via_reference
+    assert {kernel.decode(bits) for bits in scan} == via_reference
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,9 +5,9 @@ imports the CLI and the gateway, decides, registers a schema, serves a
 decide line and resets the process caches must not have imported numpy,
 ``repro.kernel.vec`` or ``repro.kernel.vec_fixpoint``.  Neither may a
 fixpoint that resolves to the bitset kernel: an explicit ``bitset`` oneway
-call, an ``auto`` one below the 4,096-row switch, or a ``bitset`` type
-enumeration.  A vec fixpoint run in that same process then loads them and
-agrees with the bitset run.
+call, an ``auto`` one below the 4,096-row switch, or a type enumeration.
+A vec fixpoint run in that same process then loads them and agrees with
+the bitset run.
 """
 
 import json
@@ -67,7 +67,7 @@ def chain_oneway(width, backend):
 
 out["small_backends"] = [chain_oneway(3, b).backend for b in ("bitset", "auto")]
 pair = normalize(TBox.of([("A0", "A1")]))
-out["small_types"] = len(list(consistent_types(pair, ["A0", "A1", "A2"], backend="bitset")))
+out["small_types"] = len(list(consistent_types(pair, ["A0", "A1", "A2"])))
 out["after_bitset"] = [m for m in MODULES if m in sys.modules]
 
 if sys.argv[1] == "vec":

@@ -1,13 +1,14 @@
 """Property tests: the vec (bit-matrix) backend agrees with the bitset
 backend bit for bit.
 
-Random small TBoxes and signatures; for each instance both backends must
-produce the same consistent-type enumeration (same order included), the
-same oneway elimination fixpoint (verdict, waves, per-wave counters,
-survivor set), and the same twoway fixpoint (verdict, pipeline stats,
-top-level survivors).  The vec backend is *forced* (``backend="vec"``)
-rather than auto-selected, so these sizes — far below the auto threshold —
-still exercise the vectorized paths.
+Random small TBoxes and signatures; for each instance the vec table must
+hold the types a scan of all 2^|Γ₀| candidates keeps (same order
+included), and both backends must produce the same oneway elimination
+fixpoint (verdict, waves, per-wave counters, survivor set) and the same
+twoway fixpoint (verdict, pipeline stats, top-level survivors).  The vec
+backend is *forced* (``backend="vec"``) rather than auto-selected, so
+these sizes — far below the auto threshold — still exercise the
+vectorized paths.
 """
 
 import pytest
@@ -33,9 +34,7 @@ from repro.queries.parser import parse_query
 if not HAVE_NUMPY:  # pragma: no cover - exercised only in numpy-less envs
     pytest.skip("numpy not installed; vec backend unavailable", allow_module_level=True)
 
-import numpy as np
-
-from repro.kernel.vec import VecClauseMatrix, enumerate_consistent_table, unpack_row
+from repro.kernel.vec import VecTypeTable, unpack_row
 from repro.kernel.vec_fixpoint import TwowayVecEnumerator
 
 NAMES = [f"A{i}" for i in range(8)]
@@ -82,23 +81,12 @@ def instances(draw):
 def test_enumeration_matches_bitset(instance):
     names, tbox = instance
     compiled = CompiledClauses(TypeKernel(names), tbox.clauses)
-    table = enumerate_consistent_table(compiled)
-    via_vec = [unpack_row(row) for row in table]
-    via_bitset = list(compiled.consistent_bits())
-    # same types in the same (increasing-integer) order
-    assert via_vec == via_bitset
-
-
-@settings(max_examples=100, deadline=None)
-@given(instances())
-def test_filter_consistent_equals_masked_select(instance):
-    names, tbox = instance
-    compiled = CompiledClauses(TypeKernel(names), tbox.clauses)
-    matrix = VecClauseMatrix(compiled)
-    all_rows = np.arange(1 << len(names), dtype=np.uint64).reshape(-1, 1)
-    via_filter = matrix.filter_consistent(all_rows)
-    via_mask = all_rows[matrix.consistent_mask(all_rows)]
-    assert np.array_equal(via_filter, via_mask)
+    table = VecTypeTable.from_consistent(compiled)
+    scan = [bits for bits in range(1 << len(names)) if compiled.consistent(bits)]
+    # the scan's types in the scan's (increasing-integer) order, in both
+    # the packed rows and their int twins
+    assert [unpack_row(row) for row in table.table] == scan
+    assert table.ints == scan
 
 
 def _oneway_fingerprint(result):
