@@ -174,14 +174,15 @@ class CompiledClauses:
 
     def search(self) -> tuple[list[int], int]:
         """(clause-consistent types in increasing-integer order, candidates
-        tested), by a prefix-pruned depth-first search.
+        tested), by a prefix-pruned search.
 
-        Names are assigned from the highest bit down, 0 before 1, so the
-        kept leaves come out in increasing-integer order.  A clause is
-        decided once its lowest name is assigned; a prefix it fires on is
-        dropped with every completion, so the search tests a candidate per
-        kept prefix and value instead of all 2^|Γ₀| types.  A clause that
-        folded to ⊤ ⊑ ⊥ (no name left) fires on the empty prefix.
+        Names are assigned from the highest bit down, each kept prefix
+        extended with 0 before 1, so every level's prefixes stay in
+        increasing-integer order.  A clause is decided once its lowest name
+        is assigned; a prefix it fires on is dropped with every completion,
+        so the search tests a candidate per kept prefix and value instead
+        of all 2^|Γ₀| types.  A clause that folded to ⊤ ⊑ ⊥ (no name left)
+        fires on the empty prefix.
         """
         decided_at: list[list[tuple[int, int, int, int]]] = [
             [] for _ in range(self.kernel.size)
@@ -191,30 +192,22 @@ class CompiledClauses:
             if not mask:
                 return [], 0
             decided_at[(mask & -mask).bit_length() - 1].append(row)
-        found: list[int] = []
+        prefixes = [0]
         tested = 0
-        stack = [(self.kernel.size, 0)]
-        while stack:
-            level, prefix = stack.pop()
-            if not level:
-                found.append(prefix)
-                continue
-            level -= 1
-            rows = decided_at[level]
-            # pushed 1 first, so the 0-extension is searched first
-            for bits in (prefix | 1 << level, prefix):
-                tested += 1
-                for body_pos, body_neg, head_pos, head_neg in rows:
-                    if (
-                        (bits & body_pos) == body_pos
-                        and not bits & body_neg
-                        and not bits & head_pos
-                        and (bits & head_neg) == head_neg
-                    ):
-                        break
-                else:
-                    stack.append((level, bits))
-        return found, tested
+        for level in range(self.kernel.size - 1, -1, -1):
+            bit = 1 << level
+            prefixes = [bits for prefix in prefixes for bits in (prefix, prefix | bit)]
+            tested += len(prefixes)
+            for body_pos, body_neg, head_pos, head_neg in decided_at[level]:
+                prefixes = [
+                    bits
+                    for bits in prefixes
+                    if (bits & body_pos) != body_pos
+                    or bits & body_neg
+                    or bits & head_pos
+                    or (bits & head_neg) != head_neg
+                ]
+        return prefixes, tested
 
 
 # --------------------------------------------------------------------- #
